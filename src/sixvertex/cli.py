@@ -1,35 +1,24 @@
-"""Command-line front end: computations plus the full verification suite.
+"""Command-line front end: computations and the verification suite's output.
 
 Every verify subcommand prints one PASS/FAIL line per check, sorted, then a
 summary count; exit codes are 0 when all checks pass, 1 on a verification
-failure, 2 on usage errors or guard violations.  Randomized checks draw
-from a seeded generator and embed the seed in the check name, so identical
-argv always produces byte-identical output.
+failure, 2 on usage errors or guard violations.  The checks themselves
+live in :mod:`sixvertex.checks`; randomized ones embed their seed in the
+check name, so identical argv always produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
 from typing import Sequence
 
-from .lattice import (BoundarySpec, GTPattern, brute_force_states,
-                      enumerate_states, gt_row_sums, gt_to_state,
-                      partition_function, state_to_gt, state_weight,
-                      tokuyama_sum, transfer_matrix, validate_partition)
-from .poly import Polynomial, VarSpace, prod
-from .schur import deformed_denominator, schur_bialternant, schur_pattern_sum
-from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
-                      random_free_fermionic, random_matched_pair,
-                      random_mismatched_pair, solve_R_from_ST)
-from .yang_baxter import (check_ice_commutator, check_parametrized_ybe,
-                          check_triangularity, check_yb_system,
-                          r_solution_space, report, yb_commutator)
-
-_KINDS = (IceKind.GAMMA, IceKind.DELTA)
+from . import checks
+from .lattice import (BoundarySpec, enumerate_states, partition_function,
+                      state_to_gt, validate_partition)
+from .schur import schur_bialternant, schur_pattern_sum
+from .weights import IceKind
 
 _KIND_NAMES = {"g": IceKind.GAMMA, "gamma": IceKind.GAMMA,
                "d": IceKind.DELTA, "delta": IceKind.DELTA}
@@ -56,21 +45,6 @@ def _kinds_arg(text: str) -> tuple[IceKind, IceKind, IceKind]:
         raise argparse.ArgumentTypeError(f"unknown ice kind in {text!r}") from exc
 
 
-def _lam_label(lam: tuple[int, ...]) -> str:
-    return f"lambda=({','.join(map(str, lam))})"
-
-
-def _check(name: str, ok: bool, witness: object = None) -> dict:
-    return {"check": name, "status": "pass" if ok else "fail",
-            "witness": None if ok else witness}
-
-
-def _poly_check(name: str, left: Polynomial, right: Polynomial) -> dict:
-    residual = left - right
-    return {"check": name, "status": "pass" if residual.is_zero() else "fail",
-            "witness": None if residual.is_zero() else residual.to_json()}
-
-
 def _finish(reports: list[dict]) -> int:
     lines = []
     for rep in reports:
@@ -85,218 +59,6 @@ def _finish(reports: list[dict]) -> int:
     passed = sum(rep["status"] == "pass" for rep in reports)
     print(f"{passed}/{len(reports)} checks passed")
     return 0 if passed == len(reports) else 1
-
-
-def _partition_grid(max_n: int, max_part: int) -> list[tuple[int, ...]]:
-    return [lam for n in range(max_n + 1)
-            for lam in itertools.combinations_with_replacement(
-                range(max_part, -1, -1), n)]
-
-
-def _factorization_reports(lam: tuple[int, ...]) -> list[dict]:
-    label = _lam_label(lam)
-    s = schur_bialternant(lam)
-    out = []
-    for kind in _KINDS:
-        z_fun = partition_function(BoundarySpec(kind, lam))
-        expected = deformed_denominator(kind, len(lam)) * s
-        out.append(_poly_check(f"factorization {kind.value} {label}", z_fun, expected))
-    return out
-
-
-def _worked_example_reports() -> list[dict]:
-    b = BoundarySpec(IceKind.GAMMA, (0, 0))
-    space = VarSpace(2)
-    states = list(enumerate_states(b))
-    weights = sorted((state_weight(s) for s in states), key=str)
-    expected = sorted((space.t(1) * space.z(2), space.z(1)), key=str)
-    return [
-        _check("worked-example state-count", len(states) == 2,
-               {"count": len(states)}),
-        _check("worked-example state-weights", weights == expected,
-               [str(w) for w in weights]),
-        _poly_check("worked-example partition-function", partition_function(b),
-                    space.t(1) * space.z(2) + space.z(1))]
-
-
-def _group_law_reports(samples: int, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    reports = []
-    for combo in ("CC", "CD", "DC", "DD"):
-        pi_ok = ff_ok = True
-        pi_wit = ff_wit = None
-        for _ in range(samples):
-            r = random_free_fermionic(combo[0], rng)
-            t = random_free_fermionic(combo[1], rng)
-            composed = compose(r, t)
-            if pi_ok and pi_map(composed) != pi_map(r) @ pi_map(t):
-                pi_ok, pi_wit = False, {"r": r.to_json(), "t": t.to_json()}
-            if ff_ok and not free_fermion(composed).is_zero():
-                ff_ok, ff_wit = False, {"r": r.to_json(), "t": t.to_json()}
-        suffix = f"{combo} samples={samples} seed={seed}"
-        reports.append(_check(f"group-law pi-homomorphism {suffix}", pi_ok, pi_wit))
-        reports.append(_check(f"group-law free-fermion {suffix}", ff_ok, ff_wit))
-    assoc_ok, assoc_wit = True, None
-    done = attempts = 0
-    while done < samples and attempts < 100 * samples:
-        attempts += 1
-        triple = [random_free_fermionic(rng.choice("CD"), rng) for _ in range(3)]
-        try:
-            left = compose(compose(triple[0], triple[1]), triple[2])
-            right = compose(triple[0], compose(triple[1], triple[2]))
-        except ValueError:
-            # a degenerate intermediate (a1 a2 + b1 b2 = 0); redraw
-            continue
-        done += 1
-        if assoc_ok and left != right:
-            assoc_ok, assoc_wit = False, [w.to_json() for w in triple]
-    if done < samples:
-        assoc_ok, assoc_wit = False, {"completed": done}
-    reports.append(_check(f"group-law associativity samples={samples} seed={seed}",
-                          assoc_ok, assoc_wit))
-    return reports
-
-
-def _construction_reports(samples: int, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    zero_ok, zero_wit = True, None
-    for _ in range(samples):
-        s, t = random_matched_pair(rng)
-        r = solve_R_from_ST(s, t)
-        if zero_ok and not yb_commutator(r.end2(), s.end2(), t.end2()).is_zero():
-            zero_ok, zero_wit = False, {"s": s.to_json(), "t": t.to_json()}
-    reports = [_check(f"construction zero-commutator samples={samples} seed={seed}",
-                      zero_ok, zero_wit)]
-    need_ok, need_wit = True, None
-    for _ in range(samples):
-        s, t = random_mismatched_pair(rng)
-        # admissible solutions need c1 and c2 nonzero (slots 4 and 5)
-        if need_ok and any(vec[4] or vec[5] for vec in r_solution_space(s, t)):
-            need_ok, need_wit = False, {"s": s.to_json(), "t": t.to_json()}
-    reports.append(_check(f"construction necessity samples={samples} seed={seed}",
-                          need_ok, need_wit))
-    return reports
-
-
-def _example_pattern_report() -> dict:
-    b = BoundarySpec(IceKind.GAMMA, (3, 1, 0))
-    pattern = GTPattern(((5, 2, 0), (3, 0), (3,)))
-    state = gt_to_state(pattern, b)
-    space = VarSpace(3)
-    expected = space.z(1, 4) * space.z(3, 3) * space.t(2) * (space.t(1) + space.one())
-    ok = (state_to_gt(state) == pattern
-          and gt_row_sums(pattern) == (4, 0, 3)
-          and state_weight(state) == expected)
-    return _check("gt-bijection example-pattern", ok,
-                  None if ok else state.to_json())
-
-
-def _bijection_reports(max_n: int, max_part: int) -> list[dict]:
-    reports = []
-    for lam in _partition_grid(max_n, max_part):
-        label = _lam_label(lam)
-        for kind in _KINDS:
-            b = BoundarySpec(kind, lam)
-            enum = list(enumerate_states(b))
-            brute = list(brute_force_states(b))
-            ok, witness = True, None
-            if len(enum) != len(brute) or set(enum) != set(brute):
-                ok = False
-                witness = {"enumerated": len(enum), "brute": len(brute)}
-            elif any(gt_to_state(state_to_gt(s), b) != s for s in enum):
-                ok, witness = False, {"roundtrip": "failed"}
-            reports.append(_check(f"gt-bijection {kind.value} {label}", ok, witness))
-    reports.append(_example_pattern_report())
-    return reports
-
-
-def _tokuyama_reports(lam: tuple[int, ...]) -> list[dict]:
-    label = _lam_label(lam)
-    n = len(lam)
-    space = VarSpace(n)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-    single_target = prod(
-        (space.z(i) + space.t(1) * space.z(j)
-         for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        space) * schur_bialternant(lam)
-    return [
-        _poly_check(f"tokuyama per-row {label}", tokuyama_sum(lam, True), z_gamma),
-        _poly_check(f"tokuyama single-t {label}", tokuyama_sum(lam, False),
-                    single_target)]
-
-
-def _statement_b_report(lam: tuple[int, ...]) -> dict:
-    """Cross-kind identity den_Delta * Z_Gamma = Z_Delta * den_Gamma.
-
-    Verified by cancellation: each side is divided exactly by both
-    denominators and the quotients compared, which is equivalent in the
-    polynomial ring and avoids multiplying millions of terms at rank 5.
-    The divisions must themselves be exact or the check fails.
-    """
-    name = f"statement-b {_lam_label(lam)}"
-    n = len(lam)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-    z_delta = partition_function(BoundarySpec(IceKind.DELTA, lam))
-    try:
-        q_gamma = z_gamma.exact_div(deformed_denominator(IceKind.GAMMA, n))
-        q_delta = z_delta.exact_div(deformed_denominator(IceKind.DELTA, n))
-    except ValueError as exc:
-        return _check(name, False, {"error": str(exc)})
-    return _poly_check(name, q_gamma, q_delta)
-
-
-def _symmetry_degree_reports(lam: tuple[int, ...]) -> list[dict]:
-    label = _lam_label(lam)
-    n = len(lam)
-    space = VarSpace(n)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-    z_delta = partition_function(BoundarySpec(IceKind.DELTA, lam))
-    reports = []
-    for k in range(1, n):
-        product = (space.t(k + 1) * space.z(k) + space.z(k + 1)) * z_gamma
-        sigma = list(range(1, n + 1))
-        sigma[k - 1], sigma[k] = k + 1, k
-        reports.append(_poly_check(f"train-symmetry {label} k={k}",
-                                   product.permute_rank_variables(sigma), product))
-    gamma_degrees = [z_gamma.degree_in_t(i) for i in range(1, n + 1)]
-    delta_degrees = [z_delta.degree_in_t(i) for i in range(1, n + 1)]
-    reports.append(_check(f"t-degree gamma {label}",
-                          gamma_degrees == [n - i for i in range(1, n + 1)],
-                          {"degrees": gamma_degrees}))
-    reports.append(_check(f"t-degree delta {label}",
-                          delta_degrees == [i - 1 for i in range(1, n + 1)],
-                          {"degrees": delta_degrees}))
-    return reports
-
-
-def _triangularity_reports() -> list[dict]:
-    space = VarSpace(2)
-    reports = []
-    for x, y in itertools.product(_KINDS, repeat=2):
-        name = f"triangularity {x.value},{y.value} scalar"
-        try:
-            scalar = check_triangularity(x, y)
-        except ValueError as exc:
-            reports.append(_check(name, False, {"error": str(exc)}))
-            continue
-        reports.append(_check(name, not scalar.is_zero(), scalar.to_json()))
-        if x is IceKind.GAMMA and y is IceKind.GAMMA:
-            target = ((space.t(1) * space.z(2) + space.z(1))
-                      * (space.t(2) * space.z(1) + space.z(2)))
-            reports.append(_poly_check("triangularity gamma,gamma normalized",
-                                       scalar, target))
-    return reports
-
-
-def _transfer_reports(max_cols: int) -> list[dict]:
-    space = VarSpace(2)
-    w1, w2 = gamma(space, 1), gamma(space, 2)
-    reports = []
-    for cols in range(1, max_cols + 1):
-        v1 = transfer_matrix(w1, cols)
-        v2 = transfer_matrix(w2, cols)
-        reports.append(report(f"transfer-commute cols={cols}", v1 @ v2 - v2 @ v1))
-    return reports
 
 
 def _cmd_zfun(args: argparse.Namespace) -> int:
@@ -322,70 +84,10 @@ def _cmd_states(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_ybe(args: argparse.Namespace) -> int:
-    reports = []
-    if args.kinds is None:
-        reports += [check_ice_commutator(x, y)
-                    for x, y in itertools.product(_KINDS, repeat=2)]
-        triples = itertools.product(_KINDS, repeat=3)
-    else:
-        triples = [args.kinds]
-    reports += [check_parametrized_ybe(x, y, z, args.hatted)
-                for x, y, z in triples]
-    return _finish(reports)
-
-
-def _cmd_verify_tokuyama(args: argparse.Namespace) -> int:
-    return _finish(_tokuyama_reports(args.lam))
-
-
-def _cmd_verify_statement_b(args: argparse.Namespace) -> int:
-    return _finish([_statement_b_report(args.lam)])
-
-
 def _cmd_verify_group_law(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    return _finish(_group_law_reports(args.samples, args.seed))
-
-
-def _cmd_verify_yb_system(args: argparse.Namespace) -> int:
-    return _finish(check_yb_system(IceKind(args.x), IceKind(args.y), args.hatted))
-
-
-def _cmd_verify_triangularity(args: argparse.Namespace) -> int:
-    return _finish(_triangularity_reports())
-
-
-def _cmd_verify_transfer(args: argparse.Namespace) -> int:
-    return _finish(_transfer_reports(args.cols))
-
-
-def _cmd_verify_all(args: argparse.Namespace) -> int:
-    lambdas = _partition_grid(args.max_n, args.max_part)
-    if args.max_n >= 4 and args.max_part >= 2:
-        lambdas += [(2, 1, 0, 0, 0), (2, 2, 1, 0, 0)]
-    reports = []
-    for lam in lambdas:
-        reports += _factorization_reports(lam)
-        reports += _tokuyama_reports(lam)
-        reports.append(_statement_b_report(lam))
-        reports += _symmetry_degree_reports(lam)
-    reports += _worked_example_reports()
-    reports += [check_ice_commutator(x, y)
-                for x, y in itertools.product(_KINDS, repeat=2)]
-    for hat in (False, True):
-        reports += [check_parametrized_ybe(x, y, z, hat)
-                    for x, y, z in itertools.product(_KINDS, repeat=3)]
-    reports += _group_law_reports(100, 0)
-    reports += _construction_reports(50, 1)
-    reports += _bijection_reports(3, 3)
-    reports += _triangularity_reports()
-    for x, y in itertools.product(_KINDS, repeat=2):
-        for hat in (False, True):
-            reports += check_yb_system(x, y, hat)
-    reports += _transfer_reports(4)
-    return _finish(reports)
+    return _finish(checks.group_law(args.samples, args.seed))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,17 +122,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ybe.add_argument("--kinds", type=_kinds_arg, default=None,
                      help="three ice kinds, e.g. GGD or gamma,gamma,delta")
     ybe.add_argument("--hatted", action="store_true")
-    ybe.set_defaults(handler=_cmd_verify_ybe)
+    ybe.set_defaults(handler=lambda a: _finish(checks.ybe(a.kinds, (a.hatted,))))
 
     tokuyama = vsub.add_parser("tokuyama", help="deformed pattern-sum checks")
     tokuyama.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    tokuyama.set_defaults(handler=_cmd_verify_tokuyama)
+    tokuyama.set_defaults(handler=lambda a: _finish(checks.tokuyama(a.lam)))
 
     statement_b = vsub.add_parser("statement-b",
                                   help="cross-kind partition-function identity")
     statement_b.add_argument("--lambda", dest="lam", type=_partition_arg,
                              required=True)
-    statement_b.set_defaults(handler=_cmd_verify_statement_b)
+    statement_b.set_defaults(handler=lambda a: _finish(checks.statement_b(a.lam)))
 
     group_law = vsub.add_parser("group-law", help="composition group-law checks")
     group_law.add_argument("--samples", type=int, default=100)
@@ -441,21 +143,23 @@ def _build_parser() -> argparse.ArgumentParser:
     yb_system.add_argument("--x", choices=("gamma", "delta"), required=True)
     yb_system.add_argument("--y", choices=("gamma", "delta"), required=True)
     yb_system.add_argument("--hatted", action="store_true")
-    yb_system.set_defaults(handler=_cmd_verify_yb_system)
+    yb_system.set_defaults(handler=lambda a: _finish(checks.yb_system(
+        [(IceKind(a.x), IceKind(a.y))], (a.hatted,))))
 
     triangularity = vsub.add_parser("triangularity",
                                     help="projective inverse scalar checks")
-    triangularity.set_defaults(handler=_cmd_verify_triangularity)
+    triangularity.set_defaults(handler=lambda a: _finish(checks.triangularity()))
 
     transfer = vsub.add_parser("transfer-commute",
                                help="row-transfer commutation checks")
     transfer.add_argument("--cols", type=int, default=4)
-    transfer.set_defaults(handler=_cmd_verify_transfer)
+    transfer.set_defaults(handler=lambda a: _finish(checks.transfer_commute(a.cols)))
 
     verify_all = vsub.add_parser("all", help="the complete verification suite")
     verify_all.add_argument("--max-n", type=int, default=4)
     verify_all.add_argument("--max-part", type=int, default=4)
-    verify_all.set_defaults(handler=_cmd_verify_all)
+    verify_all.set_defaults(handler=lambda a: _finish(
+        [r for group in checks.suite(a.max_n, a.max_part).values() for r in group]))
 
     return parser
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import Polynomial, VarSpace, poly_sum
+from .poly import Polynomial, VarSpace, poly_sum, prod
 from .weights import IceKind, VertexWeights, ice_weights
 
 # Admissible spin patterns (W, N, E, S) and their weight slots; an
@@ -240,27 +240,35 @@ def _admissible(kind: IceKind, pattern: tuple[int, int, int, int]) -> bool:
     return w * n * e * s == 1 and pattern not in _EXCLUDED[kind]
 
 
-def _interleavers(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing rows fitting under `row`, descending lex order."""
-    def walk(p: int, ceiling: int, acc: tuple[int, ...]):
-        if p == len(row) - 1:
-            yield acc
-            return
-        for v in range(min(row[p], ceiling), row[p + 1] - 1, -1):
-            yield from walk(p + 1, v - 1, acc + (v,))
-    yield from walk(0, row[0], ())
+def gt_patterns(top: tuple[int, ...], strict: bool,
+                ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Rows of every GT pattern with top row `top`, descending lex order.
 
-
-def _strict_patterns(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    Each row interleaves the row above it.  With `strict` the rows are also
+    strictly decreasing, as for lattice states; otherwise only weakly, as
+    for Schur polynomials.
+    """
     if not top:
         yield ()
         return
-    if len(top) == 1:
-        yield (top,)
-        return
-    for nxt in _interleavers(top):
-        for rest in _strict_patterns(nxt):
+
+    def below(p: int, ceiling: int, acc: tuple[int, ...]):
+        if p == len(top) - 1:
+            yield acc
+            return
+        for v in range(min(top[p], ceiling), top[p + 1] - 1, -1):
+            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
+
+    for nxt in below(0, top[0], ()):
+        for rest in gt_patterns(nxt, strict):
             yield (top,) + rest
+
+
+def pattern_monomial(space: VarSpace, rows: Sequence[Sequence[int]]) -> Polynomial:
+    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern."""
+    sums = [sum(row) for row in rows] + [0]
+    return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(space.n)),
+                space)
 
 
 def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
@@ -270,7 +278,7 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     """
     limit = int(os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES)))
     count = 0
-    for rows in _strict_patterns(b.top_row()):
+    for rows in gt_patterns(b.top_row(), strict=True):
         count += 1
         if count > limit:
             raise RuntimeError(f"enumeration exceeded ICE_MAX_STATES={limit}")
@@ -399,10 +407,7 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
     top = tuple(p + n - 1 - i for i, p in enumerate(lam))
 
     def term(rows: tuple[tuple[int, ...], ...]) -> Polynomial:
-        sums = [sum(row) for row in rows] + [0]
-        out = space.one()
-        for k in range(n):
-            out = out * space.z(k + 1, sums[k] - sums[k + 1])
+        out = pattern_monomial(space, rows)
         for j in range(1, n):
             t_var = space.t(j if per_row_t else 1)
             above, row = rows[j - 1], rows[j]
@@ -413,7 +418,7 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
                     out = out * (t_var + space.one())
         return out
 
-    return poly_sum(map(term, _strict_patterns(top)), space)
+    return poly_sum(map(term, gt_patterns(top, strict=True)), space)
 
 
 def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:

@@ -75,7 +75,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals, so must hash like, its Fraction (and int)
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -171,6 +172,7 @@ class Polynomial:
         for mono, coeff in terms.items():
             if len(mono) != width or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for rank {space.n}")
+            coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[tuple(mono)] = coeff
         object.__setattr__(self, "space", space)
@@ -222,12 +224,7 @@ class Polynomial:
         other = self._coerce(other)
         self._check_space(other)
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+        _accumulate(terms, other._terms, operator.add)
         return Polynomial._raw(self.space, terms)
 
     __radd__ = __add__
@@ -239,12 +236,7 @@ class Polynomial:
         other = self._coerce(other)
         self._check_space(other)
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono, ZERO) - coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+        _accumulate(terms, other._terms, operator.sub)
         return Polynomial._raw(self.space, terms)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -284,6 +276,9 @@ class Polynomial:
         return self.space == other.space and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals, so must hash like, its coefficient
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.space, frozenset(self._terms.items())))
 
     def leading(self) -> tuple[Monomial, GaussianRational]:
@@ -338,13 +333,7 @@ class Polynomial:
                 for _ in range(mono[slot]):
                     scale = scale * val
                 new[slot] = 0
-            if scale:
-                key = tuple(new)
-                acc = terms.get(key, ZERO) + scale
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+            _accumulate(terms, {tuple(new): scale}, operator.add)
         return Polynomial._raw(self.space, terms)
 
     def evaluate(self, zs: Sequence[object], ts: Sequence[object]) -> GaussianRational:
@@ -420,6 +409,17 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
+def _accumulate(terms: dict, addend: Mapping, op) -> None:
+    """Fold `addend` into `terms` in place, term by term with `op`; drops zeros."""
+    get, pop = terms.get, terms.pop
+    for mono, coeff in addend.items():
+        acc = op(get(mono, ZERO), coeff)
+        if acc:
+            terms[mono] = acc
+        else:
+            pop(mono, None)
+
+
 def _mono_str(mono: Monomial, n: int) -> str:
     factors = []
     for i in range(n):
@@ -488,12 +488,7 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
             found = p.space
         elif p.space != found:
             raise ValueError(f"variable space mismatch: {found} vs {p.space}")
-        for mono, coeff in p._terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+        _accumulate(terms, p._terms, operator.add)
     if found is None:
         if space is None:
             raise ValueError("empty sum with no variable space")

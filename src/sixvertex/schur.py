@@ -11,11 +11,12 @@ the two implementations check each other.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from functools import lru_cache
 
-from .lattice import BoundarySpec, partition_function, validate_partition
+from .lattice import (BoundarySpec, gt_patterns, partition_function,
+                      pattern_monomial, validate_partition)
 from .poly import Polynomial, VarSpace, poly_sum, prod
 from .weights import IceKind
 
@@ -50,40 +51,12 @@ def _schur_bialternant(lam: tuple[int, ...]) -> Polynomial:
     return quotient
 
 
-def _weak_interleavers(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    def walk(p: int, acc: tuple[int, ...]):
-        if p == len(row) - 1:
-            yield acc
-            return
-        for v in range(row[p], row[p + 1] - 1, -1):
-            yield from walk(p + 1, acc + (v,))
-    yield from walk(0, ())
-
-
-def _weak_patterns(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not top:
-        yield ()
-        return
-    if len(top) == 1:
-        yield (top,)
-        return
-    for nxt in _weak_interleavers(top):
-        for rest in _weak_patterns(nxt):
-            yield (top,) + rest
-
-
 def schur_pattern_sum(lam: Sequence[int]) -> Polynomial:
     """Sum of z^(row-sum differences) over weak patterns with top row lambda."""
     lam = validate_partition(lam)
-    n = len(lam)
-    space = VarSpace(n)
-
-    def term(rows: tuple[tuple[int, ...], ...]) -> Polynomial:
-        sums = [sum(row) for row in rows] + [0]
-        return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(n)),
-                    space)
-
-    return poly_sum(map(term, _weak_patterns(lam)), space)
+    space = VarSpace(len(lam))
+    return poly_sum((pattern_monomial(space, rows)
+                     for rows in gt_patterns(lam, strict=False)), space)
 
 
 def deformed_denominator(kind: IceKind, n: int) -> Polynomial:

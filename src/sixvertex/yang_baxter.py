@@ -1,4 +1,4 @@
-"""Tensor lifts, the Yang-Baxter commutator, and the verification suite.
+"""Tensor lifts, the Yang-Baxter commutator, and the Yang-Baxter checks.
 
 The commutator of three endomorphisms of V (x) V is the 8x8 matrix
 
@@ -115,12 +115,21 @@ def hatted(family: Family) -> Family:
     return fam
 
 
-def report(check: str, residual: PolyMatrix) -> dict:
-    """A verification report: pass iff the residual matrix is identically zero."""
-    bad = residual.nonzero_entries()
-    return {"check": check,
-            "status": "pass" if not bad else "fail",
-            "witness": None if not bad else bad[0][2].to_json()}
+def report(check: str, outcome: PolyMatrix | Polynomial | bool,
+           witness: object = None) -> dict:
+    """The ``{"check", "status", "witness"}`` record of one verification.
+
+    A residual passes iff it is identically zero; its witness is the JSON of
+    the polynomial, or of the first nonzero entry of a matrix.  A boolean
+    outcome passes iff true, with ``witness`` recorded only on failure.
+    """
+    if isinstance(outcome, PolyMatrix):
+        bad = outcome.nonzero_entries()
+        outcome = bad[0][2] if bad else outcome.space.zero()
+    if isinstance(outcome, Polynomial):
+        outcome, witness = outcome.is_zero(), outcome.to_json()
+    return {"check": check, "status": "pass" if outcome else "fail",
+            "witness": None if outcome else witness}
 
 
 def check_ice_commutator(x: IceKind, y: IceKind) -> dict:

@@ -1,30 +1,26 @@
 """Acceptance suite: one test per advertised guarantee, all exact.
 
-The partition grid covers every partition with at most 4 rows and parts at
-most 4, plus two rank-5 spot checks; partition functions and Schur
-polynomials are memoized, so the grid is paid for once per process.
+Each test asserts on one group of ``checks.suite(4, 4)``, the suite that
+``sixvertex verify all`` prints, run once per module.  Its partition grid
+covers every partition with at most 4 rows and parts at most 4, plus two
+rank-5 spot checks.
 """
 
-from itertools import combinations_with_replacement, product
+import pytest
 
-from sixvertex.cli import (_bijection_reports, _construction_reports,
-                           _group_law_reports, _statement_b_report,
-                           _symmetry_degree_reports, _tokuyama_reports,
-                           _transfer_reports, _triangularity_reports,
-                           _worked_example_reports)
-from sixvertex.lattice import BoundarySpec, partition_function
+from sixvertex import checks
 from sixvertex.poly import VarSpace
-from sixvertex.schur import deformed_denominator, schur_bialternant
 from sixvertex.weights import IceKind
-from sixvertex.yang_baxter import (check_ice_commutator, check_parametrized_ybe,
-                                   check_triangularity, check_yb_system)
+from sixvertex.yang_baxter import check_triangularity
 
-KINDS = (IceKind.GAMMA, IceKind.DELTA)
+# 126 partitions with at most 4 rows and parts at most 4, plus 2 spot checks.
+PARTITIONS = 128
 
-GRID = [lam for n in range(5)
-        for lam in combinations_with_replacement(range(4, -1, -1), n)]
 
-SPOTS = [(2, 1, 0, 0, 0), (2, 2, 1, 0, 0)]
+@pytest.fixture(scope="module")
+def groups():
+    """The same suite that ``sixvertex verify all`` runs, computed once."""
+    return checks.suite(4, 4)
 
 
 def assert_all_pass(reports):
@@ -33,64 +29,55 @@ def assert_all_pass(reports):
     assert not failures, failures
 
 
-def factored_form(kind, lam):
-    return deformed_denominator(kind, len(lam)) * schur_bialternant(lam)
+def test_criterion_01_gamma_factorization_on_partition_grid(groups):
+    assert len(groups["factorization gamma"]) == PARTITIONS
+    assert_all_pass(groups["factorization gamma"])
 
 
-def test_criterion_01_gamma_factorization_on_partition_grid():
-    for lam in GRID + SPOTS:
-        z_fun = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-        assert z_fun == factored_form(IceKind.GAMMA, lam), lam
+def test_criterion_02_delta_factorization_on_partition_grid(groups):
+    assert len(groups["factorization delta"]) == PARTITIONS
+    assert_all_pass(groups["factorization delta"])
 
 
-def test_criterion_02_delta_factorization_on_partition_grid():
-    for lam in GRID + SPOTS:
-        z_fun = partition_function(BoundarySpec(IceKind.DELTA, lam))
-        assert z_fun == factored_form(IceKind.DELTA, lam), lam
+def test_criterion_03_rank_two_worked_example(groups):
+    assert_all_pass(groups["worked-example"])
 
 
-def test_criterion_03_rank_two_worked_example():
-    assert_all_pass(_worked_example_reports())
+def test_criterion_04_ice_and_parametrized_commutators_vanish(groups):
+    assert len(groups["ybe"]) == 20
+    assert_all_pass(groups["ybe"])
 
 
-def test_criterion_04_ice_and_parametrized_commutators_vanish():
-    reports = [check_ice_commutator(x, y) for x, y in product(KINDS, repeat=2)]
-    for hat in (False, True):
-        reports += [check_parametrized_ybe(x, y, z, hat)
-                    for x, y, z in product(KINDS, repeat=3)]
-    assert len(reports) == 20
-    assert_all_pass(reports)
+def test_criterion_05_composition_group_law(groups):
+    assert_all_pass(groups["group-law"])
 
 
-def test_criterion_05_composition_group_law():
-    assert_all_pass(_group_law_reports(100, 0))
+def test_criterion_06_solved_r_matrices_and_necessity(groups):
+    assert_all_pass(groups["construction"])
 
 
-def test_criterion_06_solved_r_matrices_and_necessity():
-    assert_all_pass(_construction_reports(50, 1))
+def test_criterion_07_pattern_state_bijection(groups):
+    assert_all_pass(groups["gt-bijection"])
 
 
-def test_criterion_07_pattern_state_bijection():
-    assert_all_pass(_bijection_reports(3, 3))
+def test_criterion_08_deformed_pattern_sums(groups):
+    assert len(groups["tokuyama"]) == 2 * PARTITIONS
+    assert_all_pass(groups["tokuyama"])
 
 
-def test_criterion_08_deformed_pattern_sums():
-    assert_all_pass([r for lam in GRID + SPOTS for r in _tokuyama_reports(lam)])
-
-
-def test_criterion_09_cross_kind_state_sum_identity():
+def test_criterion_09_cross_kind_state_sum_identity(groups):
     # verified straight from the state sums; never consults the factored
     # forms established by criteria 1 and 2
-    assert_all_pass([_statement_b_report(lam) for lam in GRID + SPOTS])
+    assert len(groups["statement-b"]) == PARTITIONS
+    assert_all_pass(groups["statement-b"])
 
 
-def test_criterion_10_train_symmetry_and_t_degrees():
-    assert_all_pass([r for lam in GRID + SPOTS
-                     for r in _symmetry_degree_reports(lam)])
+def test_criterion_10_train_symmetry_and_t_degrees(groups):
+    assert_all_pass(groups["symmetry-degrees"])
 
 
-def test_criterion_11_triangular_scalars_normalize_to_one():
-    assert_all_pass(_triangularity_reports())
+def test_criterion_11_triangular_scalars_normalize_to_one(groups):
+    assert_all_pass(groups["triangularity"])
     space = VarSpace(2)
     z1, z2, t1, t2 = space.z(1), space.z(2), space.t(1), space.t(2)
     factors = {
@@ -104,13 +91,10 @@ def test_criterion_11_triangular_scalars_normalize_to_one():
         assert scalar.exact_div(first).exact_div(second) == space.one(), (x, y)
 
 
-def test_criterion_12_yang_baxter_system_axioms():
-    reports = [r for x, y in product(KINDS, repeat=2)
-               for hat in (False, True)
-               for r in check_yb_system(x, y, hat)]
-    assert len(reports) == 64
-    assert_all_pass(reports)
+def test_criterion_12_yang_baxter_system_axioms(groups):
+    assert len(groups["yb-system"]) == 64
+    assert_all_pass(groups["yb-system"])
 
 
-def test_criterion_13_transfer_matrices_commute():
-    assert_all_pass(_transfer_reports(4))
+def test_criterion_13_transfer_matrices_commute(groups):
+    assert_all_pass(groups["transfer-commute"])

@@ -54,6 +54,13 @@ def test_gaussian_rational_immutable_and_hashable():
     with pytest.raises(AttributeError):
         a.re = Fraction(5)
     assert hash(a) == hash(GaussianRational(1, 2))
+    # equal values must hash alike, across scalar and constant types
+    space = VarSpace(1)
+    assert {1: "x"}[GaussianRational(1)] == "x"
+    assert {1: "x"}[space.const(1)] == "x"
+    assert GaussianRational(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert space.zero() in {0}
+    assert space.const(IMAG) in {IMAG}
 
 
 def test_varspace_guards():
@@ -238,3 +245,8 @@ def test_polynomial_validation_and_immutability():
     with pytest.raises(AttributeError):
         p.space = VarSpace(2)
     assert Polynomial(space, {(0, 0): ZERO}).is_zero()
+    # raw int and Fraction coefficients are coerced
+    p = Polynomial(space, {(0, 0): 1, (1, 0): Fraction(1, 2), (0, 1): 0})
+    assert p == space.one() + Fraction(1, 2) * space.z(1)
+    assert str(p) == "1/2*z1 + 1"
+    assert Polynomial.from_json(p.to_json()) == p

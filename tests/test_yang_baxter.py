@@ -105,6 +105,11 @@ def test_report_shapes():
     bad = report("demo", PolyMatrix.identity(space, 2))
     assert bad["status"] == "fail"
     assert bad["witness"] == space.one().to_json()
+    assert report("demo", space.zero(), "unused")["witness"] is None
+    assert report("demo", space.z(1) - 1)["witness"] == (space.z(1) - 1).to_json()
+    assert report("demo", True, {"count": 3})["status"] == "pass"
+    assert report("demo", False, {"count": 3}) == {
+        "check": "demo", "status": "fail", "witness": {"count": 3}}
 
 
 def test_ice_commutators_vanish():
