@@ -80,6 +80,8 @@ def ybe(kinds: tuple[IceKind, IceKind, IceKind] | None = None,
 
 def group_law(samples: int, seed: int) -> list[dict]:
     """pi is a homomorphism, compose keeps free fermions, and compose is associative."""
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
     rng = random.Random(seed)
     reports = []
     for combo in ("CC", "CD", "DC", "DD"):
@@ -255,6 +257,8 @@ def yb_system(pairs: Iterable[tuple[IceKind, IceKind]],
 
 def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
+    if max_cols < 1:
+        raise ValueError("--cols must be at least 1")
     space = VarSpace(2)
     w1, w2 = gamma(space, 1), gamma(space, 2)
     reports = []

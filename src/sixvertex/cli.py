@@ -84,12 +84,6 @@ def _cmd_states(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_group_law(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    return _finish(checks.group_law(args.samples, args.seed))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixvertex",
@@ -137,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group_law = vsub.add_parser("group-law", help="composition group-law checks")
     group_law.add_argument("--samples", type=int, default=100)
     group_law.add_argument("--seed", type=int, default=0)
-    group_law.set_defaults(handler=_cmd_verify_group_law)
+    group_law.set_defaults(handler=lambda a: _finish(checks.group_law(a.samples, a.seed)))
 
     yb_system = vsub.add_parser("yb-system", help="eight-axiom system checks")
     yb_system.add_argument("--x", choices=("gamma", "delta"), required=True)

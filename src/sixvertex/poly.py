@@ -1,18 +1,56 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
 Every polynomial lives in a :class:`VarSpace` of rank ``n``, which provides
-the variables ``z_1..z_n`` and ``t_1..t_n``.  Coefficients are Gaussian
-rationals (``re + im*i`` with exact rational parts), terms are kept in a
-sparse map from exponent vectors to coefficients, and the canonical term
-order is descending graded lexicographic on the combined exponent vector
-(z-block then t-block).  All values are immutable and all operations exact.
+the variables ``z_1..z_n`` and ``t_1..t_n``.  The canonical term order is
+descending graded lexicographic on the combined exponent vector (z-block
+then t-block).  All values are immutable and all operations exact; a float
+is rejected wherever a value enters.
+
+A polynomial stores its terms in a dict from packed monomials to
+coefficients:
+
+* A monomial is one ``int``.  Its low ``2n * FIELD_BITS`` bits hold 2n
+  fixed-width fields with the exponents of z_1..z_n, t_1..t_n, z_1 most
+  significant, and the total degree sits above them.  Comparing two packed
+  monomials as ints therefore compares ``(sum(mono), mono)``, the canonical
+  order, and the product of two monomials is the sum of their ints.
+* The top bit of every field is a guard bit, so an exponent stays below
+  ``EXPONENT_LIMIT = 2**(FIELD_BITS - 1)``.  Two exponents below the limit
+  add to less than ``2**FIELD_BITS`` and never carry into the next field;
+  a sum at or above the limit sets the guard bit instead.  Every operation
+  that can raise an exponent checks the guard bits of its result and raises
+  :class:`OverflowError`, so an exponent never wraps.
+* A coefficient is an ``int`` or a ``Fraction``, or a
+  :class:`GaussianRational` when its imaginary part is non-zero.
+
+Exponent tuples and ``GaussianRational`` coefficients appear only at the
+public edge: the constructor, ``terms()``, ``leading()``, the JSON and text
+forms, ``substitute``/``evaluate``, ``permute_rank_variables`` and the
+degree queries.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import operator
+import struct
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_FIELD_FORMAT = "H"  # struct code of one unsigned big-endian FIELD_BITS field
+
+
+def _rational(value: object) -> Fraction:
+    """An exact rational; floats are refused, since they carry binary rounding."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; pass an int, Fraction or string")
+    return Fraction(value)
 
 
 class GaussianRational:
@@ -21,8 +59,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction | int | str = 0, im: Fraction | int | str = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianRational is immutable")
@@ -31,7 +69,7 @@ class GaussianRational:
     def coerce(cls, value: "GaussianRational | Fraction | int | str") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return cls(Fraction(value))
+        return cls(value)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -45,12 +83,17 @@ class GaussianRational:
             return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         other = GaussianRational.coerce(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: "Fraction | int") -> "GaussianRational":
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         other = GaussianRational.coerce(other)
@@ -59,6 +102,8 @@ class GaussianRational:
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         other = GaussianRational.coerce(other)
         norm = other.re * other.re + other.im * other.im
@@ -66,6 +111,9 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational((self.re * other.re + self.im * other.im) / norm,
                                 (other.re * self.im - other.im * self.re) / norm)
+
+    def __rtruediv__(self, other: "Fraction | int") -> "GaussianRational":
+        return GaussianRational.coerce(other) / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -104,16 +152,69 @@ IMAG = GaussianRational(0, 1)
 
 Monomial = tuple  # exponent vector of length 2n: z-block then t-block
 
+Coefficient = int | Fraction | GaussianRational  # as stored: see _coeff
+
+
+def _coeff(value: object) -> Coefficient:
+    """``value`` as a stored coefficient: an int or a Fraction when it is
+    real, a GaussianRational only when its imaginary part is non-zero."""
+    if type(value) is int:
+        return value
+    if isinstance(value, GaussianRational):
+        if value.im:
+            return value
+        value = value.re
+    elif not isinstance(value, Fraction):
+        value = _rational(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _gauss(coeff: Coefficient) -> GaussianRational:
+    """A stored coefficient as the public GaussianRational."""
+    return coeff if type(coeff) is GaussianRational else GaussianRational(coeff)
+
+
+def _quotient(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b; an int when two ints divide exactly, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
+
+
+def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
+    """Real and imaginary parts of a stored coefficient."""
+    return (coeff.re, coeff.im) if type(coeff) is GaussianRational else (coeff, 0)
+
+
+def _realify(terms: dict) -> dict:
+    """Store, in place, each Gaussian coefficient whose imaginary part
+    cancelled as the real coefficient it now is."""
+    if GaussianRational in map(type, terms.values()):
+        for mono, coeff in terms.items():
+            if type(coeff) is GaussianRational and not coeff.im:
+                terms[mono] = _coeff(coeff)
+    return terms
+
 
 class VarSpace:
-    """The rank: polynomials over z_1..z_n, t_1..t_n share one VarSpace."""
+    """The rank: polynomials over z_1..z_n, t_1..t_n share one VarSpace.
 
-    __slots__ = ("n",)
+    It also holds the constants of the packed monomial layout for its rank.
+    """
+
+    __slots__ = ("n", "_shift", "_guard", "_fields")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"rank must be non-negative, got {n}")
+        width = 2 * n
         object.__setattr__(self, "n", n)
+        # the total degree sits above the 2n exponent fields
+        object.__setattr__(self, "_shift", width * FIELD_BITS)
+        object.__setattr__(self, "_guard", sum(EXPONENT_LIMIT << (FIELD_BITS * k)
+                                               for k in range(width)))
+        object.__setattr__(self, "_fields", struct.Struct(f">{width}{_FIELD_FORMAT}"))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VarSpace is immutable")
@@ -128,53 +229,76 @@ class VarSpace:
         return f"VarSpace({self.n})"
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._raw(self, {})
 
     def one(self) -> "Polynomial":
-        return self.const(ONE)
+        return self.const(1)
 
     def const(self, value: GaussianRational | Fraction | int) -> "Polynomial":
-        c = GaussianRational.coerce(value)
-        if c.is_zero():
-            return self.zero()
-        return Polynomial(self, {(0,) * (2 * self.n): c})
+        c = _coeff(value)
+        return Polynomial._raw(self, {0: c} if c else {})
 
     def z(self, i: int, power: int = 1) -> "Polynomial":
-        return self._var(i, i - 1, power)
+        return self._var(i, 0, power)
 
     def t(self, i: int, power: int = 1) -> "Polynomial":
-        return self._var(i, self.n + i - 1, power)
+        return self._var(i, 1, power)
 
-    def _var(self, index: int, slot: int, power: int) -> "Polynomial":
-        if not 1 <= index <= self.n:
-            raise IndexError(f"variable index {index} out of range for rank {self.n}")
+    def _var(self, index: int, block: int, power: int) -> "Polynomial":
+        offset = self._offset(index, block)
         if power < 0:
             raise ValueError("negative exponent")
         if power == 0:
             return self.one()
-        exps = [0] * (2 * self.n)
-        exps[slot] = power
-        return Polynomial(self, {tuple(exps): ONE})
+        if power >= EXPONENT_LIMIT:
+            raise OverflowError(f"exponent {power} is at or above the limit {EXPONENT_LIMIT}")
+        return Polynomial._raw(self, {(power << self._shift) | (power << offset): 1})
 
+    # -- packed monomials --------------------------------------------------
 
-def _order_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
+    def _offset(self, index: int, block: int) -> int:
+        """Bit offset of the field of z_index (block 0) or t_index (block 1)."""
+        if not 1 <= index <= self.n:
+            raise IndexError(f"variable index {index} out of range for rank {self.n}")
+        return (2 * self.n - block * self.n - index) * FIELD_BITS
+
+    def _key(self, exps: Sequence[int]) -> int:
+        """Packed monomial of an exponent vector known to be valid."""
+        return (sum(exps) << self._shift) | int.from_bytes(self._fields.pack(*exps), "big")
+
+    def _pack(self, mono: Sequence[int]) -> int:
+        """Packed monomial of an exponent vector from outside; validates it."""
+        exps = [operator.index(e) for e in mono]
+        if len(exps) != 2 * self.n or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {mono} for rank {self.n}")
+        if any(e >= EXPONENT_LIMIT for e in exps):
+            raise OverflowError(f"exponent vector {mono} has an exponent at or above "
+                                f"the limit {EXPONENT_LIMIT}")
+        return self._key(exps)
+
+    def _unpack(self, key: int) -> Monomial:
+        fields = self._fields
+        return fields.unpack((key & ((1 << self._shift) - 1)).to_bytes(fields.size, "big"))
+
+    def _check_guard(self, monos: Iterable[int]) -> None:
+        """Raise if one of the packed ``monos`` has an exponent that reached the limit."""
+        if functools.reduce(operator.or_, monos, 0) & self._guard:
+            raise OverflowError(f"exponent overflow: a product has an exponent at or "
+                                f"above the limit {EXPONENT_LIMIT}")
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
+    """Immutable sparse polynomial: a map from monomials to coefficients."""
 
     __slots__ = ("space", "_terms")
 
     def __init__(self, space: VarSpace, terms: Mapping[Monomial, GaussianRational]):
-        width = 2 * space.n
         clean = {}
         for mono, coeff in terms.items():
-            if len(mono) != width or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono} for rank {space.n}")
-            coeff = GaussianRational.coerce(coeff)
+            key = space._pack(mono)
+            coeff = _coeff(coeff)
             if coeff:
-                clean[tuple(mono)] = coeff
+                clean[key] = coeff
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_terms", clean)
 
@@ -183,7 +307,7 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, space: VarSpace, terms: dict) -> "Polynomial":
-        # internal: terms must already be a clean map owned by the caller
+        # internal: terms must already be a clean packed map owned by the caller
         self = object.__new__(cls)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_terms", terms)
@@ -195,7 +319,12 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in canonical order (descending graded lex)."""
-        return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
+        return [(m, _gauss(c)) for m, c in self._canonical()]
+
+    def _canonical(self) -> list[tuple[Monomial, Coefficient]]:
+        """Exponent vectors and stored coefficients in canonical order."""
+        terms, unpack = self._terms, self.space._unpack
+        return [(unpack(m), terms[m]) for m in sorted(terms, reverse=True)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -204,12 +333,12 @@ class Polynomial:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self._terms)
+        return self._terms.keys() <= {0}
 
     def constant_value(self) -> GaussianRational:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self._terms.values()), ZERO)
+        return _gauss(self._terms.get(0, 0))
 
     def _check_space(self, other: "Polynomial") -> None:
         if self.space != other.space:
@@ -218,14 +347,14 @@ class Polynomial:
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        return self.space.const(GaussianRational.coerce(other))
+        return self.space.const(other)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check_space(other)
         terms = dict(self._terms)
         _accumulate(terms, other._terms, operator.add)
-        return Polynomial._raw(self.space, terms)
+        return Polynomial._raw(self.space, _realify(terms))
 
     __radd__ = __add__
 
@@ -237,7 +366,7 @@ class Polynomial:
         self._check_space(other)
         terms = dict(self._terms)
         _accumulate(terms, other._terms, operator.sub)
-        return Polynomial._raw(self.space, terms)
+        return Polynomial._raw(self.space, _realify(terms))
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
@@ -245,18 +374,17 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check_space(other)
-        terms: dict[Monomial, GaussianRational] = {}
+        terms: dict[int, Coefficient] = {}
         get = terms.get
-        add = operator.add
+        right = list(other._terms.items())
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(map(add, m1, m2))
-                acc = get(mono, ZERO) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return Polynomial._raw(self.space, terms)
+            for m2, c2 in right:
+                mono = m1 + m2
+                terms[mono] = get(mono, 0) + c1 * c2
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        self.space._check_guard(terms)
+        return Polynomial._raw(self.space, _realify(terms))
 
     __rmul__ = __mul__
 
@@ -270,7 +398,7 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.space.const(GaussianRational.coerce(other))
+            other = self.space.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.space == other.space and self._terms == other._terms
@@ -284,57 +412,81 @@ class Polynomial:
     def leading(self) -> tuple[Monomial, GaussianRational]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms, key=_order_key)
-        return mono, self._terms[mono]
+        mono = max(self._terms)
+        return self.space._unpack(mono), _gauss(self._terms[mono])
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self/divisor; raises if the division leaves a remainder."""
+        """Exact quotient self/divisor; raises if the division leaves a remainder.
+
+        Sparse division with the remainder's monomials in a max-heap (Johnson
+        1974; Monagan & Pearce 2011): each step pops the largest remainder
+        monomial and cancels it with one quotient term.  A monomial whose
+        coefficient cancelled stays in the heap and is skipped when popped.
+        """
         divisor = self._coerce(divisor)
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        lead_mono, lead_coeff = divisor.leading()
+        guard = self.space._guard
+        lead = max(divisor._terms)
+        lead_coeff = divisor._terms[lead]
+        rest = [(m, c) for m, c in divisor._terms.items() if m != lead]
         remainder = dict(self._terms)
-        quotient: dict[Monomial, GaussianRational] = {}
-        while remainder:
-            mono = max(remainder, key=_order_key)
-            coeff = remainder[mono]
-            ratio = tuple(e - f for e, f in zip(mono, lead_mono))
-            if any(e < 0 for e in ratio):
+        heap = [-m for m in remainder]
+        heapq.heapify(heap)
+        quotient: dict[int, Coefficient] = {}
+        get = remainder.get
+        while heap:
+            mono = -heapq.heappop(heap)
+            coeff = remainder.pop(mono, None)
+            if coeff is None:
+                continue
+            if mono & guard:
+                self.space._check_guard((mono,))
+            # per field, mono + 2**(FIELD_BITS-1) - lead keeps its guard bit
+            # exactly when lead's exponent is at most mono's
+            ratio = (mono | guard) - lead
+            if (ratio & guard) != guard:
+                remainder[mono] = coeff
                 raise ValueError(
                     "inexact division, remainder "
-                    f"{Polynomial(self.space, remainder)}")
-            q = coeff / lead_coeff
+                    f"{Polynomial._raw(self.space, _realify(remainder))}")
+            ratio -= guard
+            q = _quotient(coeff, lead_coeff)
             quotient[ratio] = q
-            for dm, dc in divisor._terms.items():
-                key = tuple(map(operator.add, ratio, dm))
-                acc = remainder.get(key, ZERO) - q * dc
-                if acc:
-                    remainder[key] = acc
+            for dm, dc in rest:
+                key = ratio + dm
+                acc = get(key)
+                if acc is None:
+                    remainder[key] = -q * dc
+                    heapq.heappush(heap, -key)
                 else:
-                    remainder.pop(key, None)
+                    acc = acc - q * dc
+                    if acc:
+                        remainder[key] = acc
+                    else:
+                        del remainder[key]
         return Polynomial._raw(self.space, quotient)
 
     def substitute(self, z: Mapping[int, object] | None = None,
                    t: Mapping[int, object] | None = None) -> "Polynomial":
         """Substitute exact values for some variables (1-based indices)."""
-        n = self.n
-        values: dict[int, GaussianRational] = {}
-        for offset, block in ((0, z), (n, t)):
-            for i, v in (block or {}).items():
-                if not 1 <= i <= n:
-                    raise IndexError(f"variable index {i} out of range for rank {n}")
-                values[offset + i - 1] = GaussianRational.coerce(v)
-        terms: dict[Monomial, GaussianRational] = {}
+        space = self.space
+        values: dict[int, Coefficient] = {}
+        for block, given in enumerate((z, t)):
+            for i, v in (given or {}).items():
+                values[space._offset(i, block)] = _coeff(v)
+        shift = space._shift
+        terms: dict[int, Coefficient] = {}
         for mono, coeff in self._terms.items():
             scale = coeff
-            new = list(mono)
-            for slot, val in values.items():
-                for _ in range(mono[slot]):
+            for offset, val in values.items():
+                e = (mono >> offset) & _FIELD_MASK
+                for _ in range(e):
                     scale = scale * val
-                new[slot] = 0
-            _accumulate(terms, {tuple(new): scale}, operator.add)
-        return Polynomial._raw(self.space, terms)
+                mono -= (e << offset) + (e << shift)
+            _accumulate(terms, {mono: scale}, operator.add)
+        return Polynomial._raw(space, _realify(terms))
 
     def evaluate(self, zs: Sequence[object], ts: Sequence[object]) -> GaussianRational:
         """Evaluate at a full assignment; zs and ts give all n values each."""
@@ -352,33 +504,39 @@ class Polynomial:
         n = self.n
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {sigma}")
+        source = [0] * (2 * n)  # source[k]: old field that moves to field k
+        for i in range(n):
+            source[sigma[i] - 1] = i
+            source[n + sigma[i] - 1] = n + i
+        space = self.space
         terms = {}
         for mono, coeff in self._terms.items():
-            new = [0] * (2 * n)
-            for i in range(n):
-                new[sigma[i] - 1] = mono[i]
-                new[n + sigma[i] - 1] = mono[n + i]
-            terms[tuple(new)] = coeff
-        return Polynomial._raw(self.space, terms)
+            exps = space._unpack(mono)
+            terms[space._key([exps[k] for k in source])] = coeff
+        return Polynomial._raw(space, terms)
 
     def degree_in_z(self, i: int) -> int:
         """Largest exponent of z_i; -1 for the zero polynomial."""
-        return max((m[i - 1] for m in self._terms), default=-1)
+        return self._degree(self.space._offset(i, 0))
 
     def degree_in_t(self, i: int) -> int:
         """Largest exponent of t_i; -1 for the zero polynomial."""
-        return max((m[self.n + i - 1] for m in self._terms), default=-1)
+        return self._degree(self.space._offset(i, 1))
+
+    def _degree(self, offset: int) -> int:
+        return max(((m >> offset) & _FIELD_MASK for m in self._terms), default=-1)
 
     def contains_t(self) -> bool:
-        n = self.n
-        return any(any(m[n:]) for m in self._terms)
+        t_fields = (1 << (self.n * FIELD_BITS)) - 1  # the low n fields
+        return any(m & t_fields for m in self._terms)
 
     def to_json(self) -> dict:
         n = self.n
-        return {"n": n,
-                "terms": [{"z": list(m[:n]), "t": list(m[n:]),
-                           "re": str(c.re), "im": str(c.im)}
-                          for m, c in self.terms()]}
+        terms = []
+        for m, c in self._canonical():
+            re, im = _parts(c)
+            terms.append({"z": list(m[:n]), "t": list(m[n:]), "re": str(re), "im": str(im)})
+        return {"n": n, "terms": terms}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
@@ -386,7 +544,7 @@ class Polynomial:
         terms: dict[Monomial, GaussianRational] = {}
         for term in data["terms"]:
             mono = tuple(int(e) for e in term["z"]) + tuple(int(e) for e in term["t"])
-            coeff = GaussianRational(Fraction(term["re"]), Fraction(term["im"]))
+            coeff = GaussianRational(term["re"], term["im"])
             if mono in terms:
                 raise ValueError(f"duplicate monomial {mono}")
             terms[mono] = coeff
@@ -396,7 +554,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces = []
-        for mono, coeff in self.terms():
+        for mono, coeff in self._canonical():
             body = _mono_str(mono, self.n)
             text, negative = _term_str(coeff, body)
             if not pieces:
@@ -413,7 +571,7 @@ def _accumulate(terms: dict, addend: Mapping, op) -> None:
     """Fold `addend` into `terms` in place, term by term with `op`; drops zeros."""
     get, pop = terms.get, terms.pop
     for mono, coeff in addend.items():
-        acc = op(get(mono, ZERO), coeff)
+        acc = op(get(mono, 0), coeff)
         if acc:
             terms[mono] = acc
         else:
@@ -437,29 +595,30 @@ def _mono_str(mono: Monomial, n: int) -> str:
     return "*".join(factors)
 
 
-def _term_str(coeff: GaussianRational, body: str) -> tuple[str, bool]:
+def _term_str(coeff: Coefficient, body: str) -> tuple[str, bool]:
     """Render one term; returns (text, sign-folded-out) for joining."""
     if not body:
         text = str(coeff)
         if text.startswith("-") and not text.startswith("(-"):
             return text[1:], True
         return text, False
-    if coeff.im == 0:
-        if coeff.re == 1:
+    re, im = _parts(coeff)
+    if im == 0:
+        if re == 1:
             return body, False
-        if coeff.re == -1:
+        if re == -1:
             return body, True
-        if coeff.re < 0:
-            return f"{-coeff.re}*{body}", True
-        return f"{coeff.re}*{body}", False
-    if coeff.re == 0:
-        if coeff.im == 1:
+        if re < 0:
+            return f"{-re}*{body}", True
+        return f"{re}*{body}", False
+    if re == 0:
+        if im == 1:
             return f"i*{body}", False
-        if coeff.im == -1:
+        if im == -1:
             return f"i*{body}", True
-        if coeff.im < 0:
-            return f"{_imag_str(-coeff.im)}*{body}", True
-        return f"{_imag_str(coeff.im)}*{body}", False
+        if im < 0:
+            return f"{_imag_str(-im)}*{body}", True
+        return f"{_imag_str(im)}*{body}", False
     return f"{coeff}*{body}", False
 
 
@@ -482,7 +641,7 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
     an empty sum needs a space.
     """
     found: VarSpace | None = None
-    terms: dict[Monomial, GaussianRational] = {}
+    terms: dict[int, Coefficient] = {}
     for p in addends:
         if found is None:
             found = p.space
@@ -493,4 +652,4 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
         if space is None:
             raise ValueError("empty sum with no variable space")
         return space.zero()
-    return Polynomial._raw(found, terms)
+    return Polynomial._raw(found, _realify(terms))

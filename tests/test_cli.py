@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sixvertex import checks
 from sixvertex.cli import main
 from sixvertex.poly import Polynomial
 
@@ -122,6 +123,21 @@ def test_verify_group_law_rejects_zero_samples(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_transfer_commute_rejects_zero_cols(capsys):
+    code, out, err = run_cli(capsys, "verify", "transfer-commute", "--cols", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cols must be at least 1\n"
+
+
+def test_checks_refuse_to_run_zero_checks():
+    # a verification that checks nothing must not report success
+    with pytest.raises(ValueError, match="--samples must be at least 1"):
+        checks.group_law(0, 1)
+    with pytest.raises(ValueError, match="--cols must be at least 1"):
+        checks.transfer_commute(0)
 
 
 def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sixvertex.poly import (IMAG, ONE, ZERO, GaussianRational, Polynomial,
-                            VarSpace, poly_sum, prod)
+from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
+                            Polynomial, VarSpace, poly_sum, prod)
 
 
 def random_coeff(rng, with_imag=False):
@@ -250,3 +250,72 @@ def test_polynomial_validation_and_immutability():
     assert p == space.one() + Fraction(1, 2) * space.z(1)
     assert str(p) == "1/2*z1 + 1"
     assert Polynomial.from_json(p.to_json()) == p
+
+
+def test_floats_are_rejected_at_the_exact_boundary():
+    space = VarSpace(1)
+    p = space.z(1) + space.t(1)
+    for make in (lambda: GaussianRational(0.5),
+                 lambda: GaussianRational(1, 0.25),
+                 lambda: GaussianRational.coerce(0.1),
+                 lambda: space.const(0.1),
+                 lambda: Polynomial(space, {(0, 0): 0.5}),
+                 lambda: p + 0.5,
+                 lambda: p * 2.0,
+                 lambda: p.substitute(z={1: 0.5}),
+                 lambda: p.evaluate([1], [0.5])):
+        with pytest.raises(TypeError):
+            make()
+    # exact strings stay accepted
+    assert GaussianRational("1/2") == Fraction(1, 2)
+    assert str(space.const("1/2")) == "1/2"
+    assert p.evaluate(["1/2"], ["1/3"]) == Fraction(5, 6)
+
+
+def _tuple_product(a, b):
+    """Reference product on exponent tuples, independent of any packing."""
+    out = {}
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            mono = tuple(e + f for e, f in zip(m1, m2))
+            out[mono] = out.get(mono, ZERO) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_exponent_overflow_raises():
+    limit = EXPONENT_LIMIT
+    space = VarSpace(2)
+    with pytest.raises(OverflowError):
+        Polynomial(space, {(limit, 0, 0, 0): ONE})
+    with pytest.raises(OverflowError):
+        Polynomial(space, {(0, 0, 0, limit + 5): ONE})
+    with pytest.raises(OverflowError):
+        space.z(1, limit)
+    with pytest.raises(OverflowError):
+        space.t(2, limit)
+    with pytest.raises(OverflowError):
+        space.z(2, limit - 1) * space.z(2)
+    with pytest.raises(OverflowError):
+        (space.t(1, limit - 3) + space.z(1)) * space.t(1, 3)
+    with pytest.raises(OverflowError):
+        space.z(1, limit // 2) ** 2
+    # a quotient term times a divisor term past the limit
+    with pytest.raises(OverflowError):
+        (space.z(1, limit - 1) * space.t(1, 3)).exact_div(space.t(1, 3) + space.z(1, 2))
+
+
+def test_products_just_under_the_exponent_limit():
+    limit = EXPONENT_LIMIT
+    space = VarSpace(2)
+    top = Polynomial(space, {(limit - 1, 0, 0, limit - 1): ONE})
+    assert top.terms() == [((limit - 1, 0, 0, limit - 1), ONE)]
+    a = space.z(1, limit - 2) + 3 * space.t(1, limit - 3) * space.z(2) - space.t(2)
+    b = space.z(1) - Fraction(1, 2) * space.t(1, 2) + space.const(IMAG) * space.t(2)
+    product = a * b
+    assert dict(product.terms()) == _tuple_product(a, b)
+    assert product.degree_in_z(1) == limit - 1
+    assert product.degree_in_t(1) == limit - 1
+    assert product.exact_div(b) == a
+    half = space.z(1, limit // 2 - 1) + space.t(2)
+    assert dict((half ** 2).terms()) == _tuple_product(half, half)
+    assert space.z(1, limit - 1).leading() == ((limit - 1, 0, 0, 0), ONE)

@@ -1,0 +1,196 @@
+"""Property tests and a sympy differential test for the polynomial kernel.
+
+Both are written against the public API only (the constructor, ``terms()``,
+arithmetic, ``exact_div``, ``evaluate``, JSON), so they hold for any term
+representation behind it.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sixvertex.poly import GaussianRational, Polynomial, VarSpace
+
+MAX_RANK = 6
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def coefficients(draw, gaussian):
+    re = draw(rationals)
+    im = draw(rationals) if gaussian and draw(st.booleans()) else 0
+    return GaussianRational(re, im)
+
+
+@st.composite
+def polynomials(draw, space, max_terms=4, max_exp=3):
+    gaussian = draw(st.booleans())
+    monos = st.tuples(*[st.integers(0, max_exp)] * (2 * space.n))
+    terms = draw(st.dictionaries(monos, coefficients(gaussian), max_size=max_terms))
+    return Polynomial(space, terms)
+
+
+@st.composite
+def rank_and_polys(draw, count):
+    space = VarSpace(draw(st.integers(0, MAX_RANK)))
+    return space, [draw(polynomials(space)) for _ in range(count)]
+
+
+@st.composite
+def rank_poly_and_perms(draw):
+    space = VarSpace(draw(st.integers(0, MAX_RANK)))
+    perms = st.permutations(list(range(1, space.n + 1)))
+    return space, draw(polynomials(space)), draw(perms), draw(perms)
+
+
+def _canonical_key(mono):
+    return (sum(mono), mono)
+
+
+@SETTINGS
+@given(rank_and_polys(3))
+def test_ring_axioms(data):
+    space, (a, b, c) = data
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + space.zero() == a
+    assert a * space.one() == a
+    assert a * space.zero() == space.zero()
+    assert (a - b) + b == a
+    assert -(-a) == a
+    assert (a - a).is_zero()
+
+
+@SETTINGS
+@given(rank_and_polys(2))
+def test_exact_div_inverts_multiplication(data):
+    space, (a, b) = data
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(b)
+        return
+    assert (a * b).exact_div(b) == a
+
+
+@SETTINGS
+@given(rank_and_polys(2))
+def test_inexact_division_raises(data):
+    space, (a, b) = data
+    if b.is_constant():
+        return
+    # a non-constant b divides no non-zero constant, so a*b + 1 leaves a remainder
+    with pytest.raises(ValueError, match="inexact division, remainder"):
+        (a * b + 1).exact_div(b)
+
+
+@SETTINGS
+@given(rank_and_polys(1))
+def test_json_round_trip(data):
+    space, (p,) = data
+    text = json.dumps(p.to_json(), sort_keys=True)
+    assert Polynomial.from_json(json.loads(text)) == p
+
+
+@SETTINGS
+@given(rank_and_polys(1))
+def test_terms_sorted_and_nonzero(data):
+    space, (p,) = data
+    terms = p.terms()
+    monos = [m for m, _ in terms]
+    assert monos == sorted(monos, key=_canonical_key, reverse=True)
+    assert len(set(monos)) == len(monos)
+    assert all(len(m) == 2 * space.n for m in monos)
+    assert all(isinstance(c, GaussianRational) and c for _, c in terms)
+    assert Polynomial(space, dict(terms)) == p
+    if terms:
+        assert p.leading() == terms[0]
+
+
+@SETTINGS
+@given(rank_poly_and_perms())
+def test_permute_rank_variables_is_a_group_action(data):
+    space, p, sigma, tau = data
+    identity = list(range(1, space.n + 1))
+    assert p.permute_rank_variables(identity) == p
+    # z_i -> z_sigma(i), then z_j -> z_tau(j), is z_i -> z_tau(sigma(i))
+    composed = [tau[s - 1] for s in sigma]
+    assert (p.permute_rank_variables(sigma).permute_rank_variables(tau)
+            == p.permute_rank_variables(composed))
+    square = p * p
+    assert (square.permute_rank_variables(sigma)
+            == p.permute_rank_variables(sigma) ** 2)
+
+
+# -- sympy as an independent oracle ---------------------------------------
+
+def _sympy_setup(n):
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.symbols(f"z1:{n + 1}") if n else ()
+    ts = sympy.symbols(f"t1:{n + 1}") if n else ()
+    return sympy, list(zs) + list(ts)
+
+
+def _to_sympy(sympy, gens, p):
+    expr = sympy.Integer(0)
+    for mono, c in p.terms():
+        coeff = sympy.Rational(c.re.numerator, c.re.denominator) \
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+        expr += coeff * sympy.Mul(*[g ** e for g, e in zip(gens, mono)])
+    return expr
+
+
+def _random_poly(rng, space, max_terms, max_exp, gaussian):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in range(2 * space.n))
+        im = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if gaussian else 0
+        terms[mono] = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), im)
+    return Polynomial(space, terms)
+
+
+def _sympy_value(sympy, v):
+    v = GaussianRational.coerce(v)
+    return (sympy.Rational(v.re.numerator, v.re.denominator)
+            + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_differential_against_sympy(seed):
+    rng = random.Random(seed)
+    space = VarSpace(1 + seed % 4)
+    sympy, gens = _sympy_setup(space.n)
+    for trial in range(4):
+        gaussian = trial % 2 == 1
+        a = _random_poly(rng, space, 6, 3, gaussian)
+        b = _random_poly(rng, space, 4, 2, gaussian)
+        ea, eb = _to_sympy(sympy, gens, a), _to_sympy(sympy, gens, b)
+        product = a * b
+        assert sympy.expand(ea * eb - _to_sympy(sympy, gens, product)) == 0
+        # exact division: sympy's quotient of the product, remainder zero
+        q, r = sympy.div(sympy.expand(ea * eb), eb, *gens)
+        assert r == 0
+        assert sympy.expand(q - _to_sympy(sympy, gens, product.exact_div(b))) == 0
+        # a remainder sympy finds makes exact_div raise
+        dividend = product + space.one()
+        _, r = sympy.div(_to_sympy(sympy, gens, dividend), eb, *gens)
+        if r != 0:
+            with pytest.raises(ValueError):
+                dividend.exact_div(b)
+        # evaluation at rational and Gaussian points
+        zs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(space.n)]
+        ts = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+              for _ in range(space.n)]
+        value = a.evaluate(zs, ts)
+        point = {g: _sympy_value(sympy, v) for g, v in zip(gens, zs + ts)}
+        assert sympy.expand(ea.subs(point) - _sympy_value(sympy, value)) == 0
