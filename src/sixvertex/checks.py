@@ -12,10 +12,10 @@ import random
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from .lattice import (BoundarySpec, GTPattern, brute_force_states,
-                      enumerate_states, gt_row_sums, gt_to_state,
-                      partition_function, state_to_gt, state_weight,
-                      tokuyama_sum, transfer_matrix)
+from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
+                      brute_force_states, enumerate_states, gt_row_sums,
+                      gt_to_state, partition_function, state_to_gt,
+                      state_weight, tokuyama_sum, transfer_matrix)
 from .poly import VarSpace, prod
 from .schur import deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
@@ -259,6 +259,8 @@ def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
     if max_cols < 1:
         raise ValueError("--cols must be at least 1")
+    if max_cols > MAX_TRANSFER_COLS:
+        raise ValueError(f"--cols must be at most {MAX_TRANSFER_COLS}")
     space = VarSpace(2)
     w1, w2 = gamma(space, 1), gamma(space, 2)
     reports = []

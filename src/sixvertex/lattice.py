@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import Polynomial, VarSpace, poly_sum, prod
+from .poly import Immutable, Polynomial, VarSpace, poly_sum, prod
 from .weights import IceKind, VertexWeights, ice_weights
 
 # Admissible spin patterns (W, N, E, S) and their weight slots; an
@@ -38,6 +38,9 @@ _EXCLUDED = {IceKind.GAMMA: ((-1, -1, 1, 1), (1, 1, -1, -1)),
 
 _DEFAULT_MAX_STATES = 10_000_000
 
+# Largest column count of transfer_matrix: V has 4^n_cols polynomial entries.
+MAX_TRANSFER_COLS = 6
+
 
 def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Coerce to a tuple and reject anything not weakly decreasing >= 0."""
@@ -50,7 +53,7 @@ def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-class BoundarySpec:
+class BoundarySpec(Immutable):
     """Boundary data: ice kind plus partition, with derived grid geometry."""
 
     __slots__ = ("kind", "lam", "n", "m")
@@ -60,9 +63,6 @@ class BoundarySpec:
         object.__setattr__(self, "lam", validate_partition(lam))
         object.__setattr__(self, "n", len(self.lam))
         object.__setattr__(self, "m", (self.lam[0] if self.lam else 0) + self.n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BoundarySpec is immutable")
 
     @property
     def column_labels(self) -> tuple[int, ...]:
@@ -102,7 +102,7 @@ class BoundarySpec:
         return f"BoundarySpec({self.kind.value}, {self.lam})"
 
 
-class GTPattern:
+class GTPattern(Immutable):
     """Strict Gelfand-Tsetlin pattern: strictly decreasing interleaved rows."""
 
     __slots__ = ("rows",)
@@ -125,9 +125,6 @@ class GTPattern:
                     raise ValueError(
                         f"interleaving violated at row {j + 2}, position {p + 1}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GTPattern is immutable")
 
     @property
     def n(self) -> int:
@@ -152,7 +149,7 @@ class GTPattern:
         return f"GTPattern({self.to_json()})"
 
 
-class LatticeState:
+class LatticeState(Immutable):
     """Spin assignment for every edge: horizontal (n)x(m+1), vertical (n+1)xm.
 
     horizontal[r][c] is the spin left of vertex (r, c) with horizontal[r][m]
@@ -192,9 +189,6 @@ class LatticeState:
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "horizontal", horizontal)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LatticeState is immutable")
 
     def vertex_pattern(self, r: int, c: int) -> tuple[int, int, int, int]:
         """The (W, N, E, S) spins around vertex (r, c)."""
@@ -424,37 +418,27 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
 def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     """Row-transfer matrix on n_cols columns with periodic horizontal edges.
 
-    V[alpha, beta] sums over the 2^n_cols horizontal spin assignments the
-    product of vertex weights, where alpha gives the top spins, beta the
-    bottom spins, both big-endian with 0 for +.
+    V[alpha, beta] is the trace, over the horizontal edge, of the column
+    monodromy: the product of one 2x2 step matrix per column,
+    L(a, b)[right, left] = mat[2*right + b, 2*left + a] for top spin a and
+    bottom spin b, later columns on the left.  alpha gives the top spins and
+    beta the bottom spins, both big-endian with 0 for +.
     """
-    if not 1 <= n_cols <= 6:
-        raise ValueError(f"n_cols must be between 1 and 6, got {n_cols}")
+    if not 1 <= n_cols <= MAX_TRANSFER_COLS:
+        raise ValueError(f"n_cols must be between 1 and {MAX_TRANSFER_COLS}, got {n_cols}")
     mat = w.end2() if isinstance(w, VertexWeights) else w
     if mat.size != 4:
         raise ValueError("vertex matrix must be 4x4")
-    space = mat.space
+    spins = (0, 1)
+    step = {(a, b): PolyMatrix([[mat[2 * right + b, 2 * left + a] for left in spins]
+                                for right in spins])
+            for a in spins for b in spins}
+    # monodromy[alpha, beta] for the columns placed so far
+    monodromy = {(0, 0): PolyMatrix.identity(mat.space, 2)}
+    for _ in range(n_cols):
+        monodromy = {(2 * alpha + a, 2 * beta + b): step[a, b] @ m
+                     for (alpha, beta), m in monodromy.items()
+                     for a in spins for b in spins}
     size = 1 << n_cols
-
-    def bits(value: int) -> tuple[int, ...]:
-        return tuple((value >> (n_cols - 1 - i)) & 1 for i in range(n_cols))
-
-    rows = []
-    for alpha in range(size):
-        abits = bits(alpha)
-        row = []
-        for beta in range(size):
-            bbits = bits(beta)
-            total = space.zero()
-            for eps in range(size):
-                ebits = bits(eps)
-                term = space.one()
-                for i in range(n_cols):
-                    term = term * mat[2 * ebits[(i + 1) % n_cols] + bbits[i],
-                                      2 * ebits[i] + abits[i]]
-                    if term.is_zero():
-                        break
-                total = total + term
-            row.append(total)
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix([[monodromy[alpha, beta][0, 0] + monodromy[alpha, beta][1, 1]
+                        for beta in range(size)] for alpha in range(size)])

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import Polynomial, VarSpace
+from .poly import Immutable, Polynomial, VarSpace
 
 
-class PolyMatrix:
+class PolyMatrix(Immutable):
     """Immutable square matrix with Polynomial entries over one VarSpace."""
 
     __slots__ = ("space", "size", "rows")
@@ -31,9 +31,6 @@ class PolyMatrix:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
     def identity(cls, space: VarSpace, size: int) -> "PolyMatrix":

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import numbers
 import operator
 import struct
 from fractions import Fraction
@@ -53,7 +54,44 @@ def _rational(value: object) -> Fraction:
     return Fraction(value)
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the value classes: slots set once in ``__init__``, then frozen.
+
+    Subclasses declare ``__slots__`` and set them with ``object.__setattr__``.
+    Pickle and ``copy`` restore the slots through ``__setstate__`` the same way.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # the default pickle state of an object with slots and no __dict__
+        _, slots = state
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+
+def _scalar_operator(method):
+    """Call ``method`` with the other operand as a GaussianRational.
+
+    An operand that is neither a number nor a string, such as a Polynomial,
+    gets NotImplemented, so that its reflected operator runs.  A float is a
+    number and still raises TypeError when coerced.
+    """
+    @functools.wraps(method)
+    def operate(self, other):
+        if not isinstance(other, (GaussianRational, numbers.Number, str)):
+            return NotImplemented
+        return method(self, GaussianRational.coerce(other))
+    return operate
+
+
+class GaussianRational(Immutable):
     """An exact complex number ``re + im*i`` with rational parts."""
 
     __slots__ = ("re", "im")
@@ -61,9 +99,6 @@ class GaussianRational:
     def __init__(self, re: Fraction | int | str = 0, im: Fraction | int | str = 0):
         object.__setattr__(self, "re", _rational(re))
         object.__setattr__(self, "im", _rational(im))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def coerce(cls, value: "GaussianRational | Fraction | int | str") -> "GaussianRational":
@@ -77,8 +112,8 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    @_scalar_operator
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
         if not self.im and not other.im:
             return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -88,15 +123,16 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
+    @_scalar_operator
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other: "Fraction | int") -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
+    @_scalar_operator
+    def __rsub__(self, other: "GaussianRational") -> "GaussianRational":
+        return other - self
 
+    @_scalar_operator
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
         if not self.im and not other.im:
             return GaussianRational(self.re * other.re)
         return GaussianRational(self.re * other.re - self.im * other.im,
@@ -104,16 +140,17 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_scalar_operator
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational((self.re * other.re + self.im * other.im) / norm,
                                 (other.re * self.im - other.im * self.re) / norm)
 
-    def __rtruediv__(self, other: "Fraction | int") -> "GaussianRational":
-        return GaussianRational.coerce(other) / self
+    @_scalar_operator
+    def __rtruediv__(self, other: "GaussianRational") -> "GaussianRational":
+        return other / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -197,7 +234,7 @@ def _realify(terms: dict) -> dict:
     return terms
 
 
-class VarSpace:
+class VarSpace(Immutable):
     """The rank: polynomials over z_1..z_n, t_1..t_n share one VarSpace.
 
     It also holds the constants of the packed monomial layout for its rank.
@@ -216,8 +253,9 @@ class VarSpace:
                                                for k in range(width)))
         object.__setattr__(self, "_fields", struct.Struct(f">{width}{_FIELD_FORMAT}"))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VarSpace is immutable")
+    def __reduce__(self):
+        # a struct.Struct does not pickle; the rank rebuilds every slot
+        return VarSpace, (self.n,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarSpace) and self.n == other.n
@@ -287,7 +325,7 @@ class VarSpace:
                                 f"above the limit {EXPONENT_LIMIT}")
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Immutable sparse polynomial: a map from monomials to coefficients."""
 
     __slots__ = ("space", "_terms")
@@ -301,9 +339,6 @@ class Polynomial:
                 clean[key] = coeff
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, space: VarSpace, terms: dict) -> "Polynomial":

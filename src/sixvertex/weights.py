@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 from .matrix import PolyMatrix
-from .poly import GaussianRational, IMAG, Polynomial, VarSpace
+from .poly import GaussianRational, IMAG, Immutable, Polynomial, VarSpace
 
 
 class IceKind(str, enum.Enum):
@@ -34,7 +34,7 @@ class IceKind(str, enum.Enum):
     DELTA = "delta"
 
 
-class VertexWeights:
+class VertexWeights(Immutable):
     """Eight Boltzmann weights with a type-C or type-D classification."""
 
     __slots__ = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2", "kind")
@@ -56,9 +56,6 @@ class VertexWeights:
         for name, v in zip(self._FIELDS, values):
             object.__setattr__(self, name, v)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VertexWeights is immutable")
 
     @classmethod
     def type_c(cls, a1, a2, b1, b2, c1, c2) -> "VertexWeights":

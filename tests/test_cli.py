@@ -140,6 +140,19 @@ def test_checks_refuse_to_run_zero_checks():
         checks.transfer_commute(0)
 
 
+def test_transfer_commute_refuses_too_many_cols_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transfer_matrix called")
+
+    monkeypatch.setattr(checks, "transfer_matrix", refuse)
+    with pytest.raises(ValueError, match="--cols must be at most 6"):
+        checks.transfer_commute(7)
+    code, out, err = run_cli(capsys, "verify", "transfer-commute", "--cols", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cols must be at most 6\n"
+
+
 def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):
     # the partition function memoizes per boundary, so pick a partition no
     # other test has already forced into the cache

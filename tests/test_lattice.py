@@ -12,7 +12,7 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import VarSpace, prod
 from sixvertex.schur import schur_bialternant
-from sixvertex.weights import IceKind, gamma
+from sixvertex.weights import IceKind, delta, gamma
 
 
 def test_validate_partition():
@@ -228,6 +228,52 @@ def test_transfer_matrix_commutation():
     v1 = transfer_matrix(gamma(space, 1), 2)
     v2 = transfer_matrix(gamma(space, 2), 2)
     assert v1 @ v2 == v2 @ v1
+
+
+def brute_force_transfer_matrix(mat: PolyMatrix, n_cols: int) -> PolyMatrix:
+    """V[alpha, beta] as the sum over all 2^n_cols periodic rings of
+    horizontal spins of the product of vertex weights, one term per ring."""
+    space = mat.space
+    size = 1 << n_cols
+
+    def bits(value: int) -> tuple[int, ...]:
+        return tuple((value >> (n_cols - 1 - i)) & 1 for i in range(n_cols))
+
+    rows = []
+    for alpha in range(size):
+        abits = bits(alpha)
+        row = []
+        for beta in range(size):
+            bbits = bits(beta)
+            total = space.zero()
+            for eps in range(size):
+                ebits = bits(eps)
+                term = space.one()
+                for i in range(n_cols):
+                    term = term * mat[2 * ebits[(i + 1) % n_cols] + bbits[i],
+                                      2 * ebits[i] + abits[i]]
+                total = total + term
+            row.append(total)
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def generic_vertex_matrix(space: VarSpace) -> PolyMatrix:
+    # 16 distinct entries, so a transposed or swapped index changes the result
+    return PolyMatrix([[space.z(1, r + 1) * space.t(1, c) + (4 * r + c + 2)
+                        for c in range(4)] for r in range(4)])
+
+
+VERTEX_MATRICES = {"gamma": lambda space: gamma(space, 1).end2(),
+                   "delta": lambda space: delta(space, 1).end2(),
+                   "generic": generic_vertex_matrix}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_MATRICES))
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
+def test_transfer_matrix_matches_brute_force_ring_sum(name, n_cols):
+    mat = VERTEX_MATRICES[name](VarSpace(1))
+    assert transfer_matrix(mat, n_cols) == brute_force_transfer_matrix(mat, n_cols)
 
 
 def test_transfer_matrix_guards():

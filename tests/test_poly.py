@@ -1,12 +1,16 @@
 """Tests for exact Gaussian-rational polynomial arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from sixvertex.lattice import BoundarySpec, enumerate_states, state_to_gt
 from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
+from sixvertex.weights import IceKind, gamma
 
 
 def random_coeff(rng, with_imag=False):
@@ -61,6 +65,46 @@ def test_gaussian_rational_immutable_and_hashable():
     assert GaussianRational(Fraction(1, 2)) in {Fraction(1, 2)}
     assert space.zero() in {0}
     assert space.const(IMAG) in {IMAG}
+
+
+def test_scalars_on_the_left_of_a_polynomial():
+    z = VarSpace(1).z(1)
+    assert IMAG * z == z * IMAG
+    assert str(IMAG * z) == "i*z1"
+    assert ONE + z == z + ONE
+    assert ONE - z == -(z - ONE)
+    assert str(ONE - z) == "-z1 + 1"
+    assert GaussianRational(2) * z == 2 * z
+    # floats stay refused, on either side
+    for make in (lambda: IMAG * 0.5, lambda: 0.5 * IMAG, lambda: ONE + 0.5,
+                 lambda: 0.5 - ONE):
+        with pytest.raises(TypeError):
+            make()
+
+
+def value_objects():
+    """One instance of each immutable value class."""
+    space = VarSpace(2)
+    boundary = BoundarySpec(IceKind.GAMMA, (1, 0))
+    state = next(enumerate_states(boundary))
+    weights = gamma(space, 1)
+    return [GaussianRational(1, -2), space, space.z(1) * IMAG + space.t(2, 3),
+            boundary, state_to_gt(state), state, weights.end2(), weights]
+
+
+@pytest.mark.parametrize("value", value_objects(), ids=lambda v: type(v).__name__)
+def test_values_survive_pickle_and_copy(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                  copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        assert clone == value
+        assert hash(clone) == hash(value)
+        name = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(clone, name, None)
+        with pytest.raises(AttributeError):
+            delattr(clone, name)
+        assert getattr(clone, name) == getattr(value, name)
 
 
 def test_varspace_guards():
