@@ -174,11 +174,13 @@ def tokuyama(lam: tuple[int, ...]) -> list[dict]:
     label = _lam_label(lam)
     n = len(lam)
     space = VarSpace(n)
+    # the bialternant first: its rank guard fires before the state sums start
+    schur = schur_bialternant(lam)
     z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
     single_target = prod(
         (space.z(i) + space.t(1) * space.z(j)
          for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-        space) * schur_bialternant(lam)
+        space) * schur
     return [
         report(f"tokuyama per-row {label}", tokuyama_sum(lam, True) - z_gamma),
         report(f"tokuyama single-t {label}", tokuyama_sum(lam, False) - single_target)]
@@ -278,6 +280,10 @@ def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
     parts, each at most max_part, plus two rank-5 spot checks when
     max_n >= 4 and max_part >= 2.
     """
+    if max_n < 0:
+        raise ValueError("--max-n must be at least 0")
+    if max_part < 0:
+        raise ValueError("--max-part must be at least 0")
     lambdas = _partition_grid(max_n, max_part)
     if max_n >= 4 and max_part >= 2:
         lambdas += _SPOT_CHECKS

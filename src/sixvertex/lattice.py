@@ -90,14 +90,6 @@ class BoundarySpec(Immutable):
             raise IndexError(f"row {r} out of range for {self.n} rows")
         return r + 1 if self.kind is IceKind.GAMMA else self.n - r
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundarySpec):
-            return NotImplemented
-        return self.kind is other.kind and self.lam == other.lam
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.lam))
-
     def __repr__(self) -> str:
         return f"BoundarySpec({self.kind.value}, {self.lam})"
 
@@ -136,14 +128,6 @@ class GTPattern(Immutable):
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int]]) -> "GTPattern":
         return cls(data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GTPattern):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"GTPattern({self.to_json()})"
@@ -213,16 +197,6 @@ class LatticeState(Immutable):
     def from_json(cls, data: dict) -> "LatticeState":
         boundary = BoundarySpec(IceKind(data["kind"]), tuple(data["lambda"]))
         return cls(boundary, data["vertical"], data["horizontal"])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatticeState):
-            return NotImplemented
-        return (self.boundary == other.boundary
-                and self.vertical == other.vertical
-                and self.horizontal == other.horizontal)
-
-    def __hash__(self) -> int:
-        return hash((self.boundary, self.vertical, self.horizontal))
 
     def __repr__(self) -> str:
         return (f"LatticeState({self.boundary!r}, vertical={self.vertical}, "

@@ -110,14 +110,6 @@ class PolyMatrix(Immutable):
                     return None
         return head
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.size == other.size and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"<PolyMatrix {self.size}x{self.size} [{body}]>"

@@ -59,9 +59,21 @@ class Immutable:
 
     Subclasses declare ``__slots__`` and set them with ``object.__setattr__``.
     Pickle and ``copy`` restore the slots through ``__setstate__`` the same way.
+    Two values of the same class are equal when every slot is equal.
     """
 
     __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -79,14 +79,6 @@ class VertexWeights(Immutable):
             [zero, self.c2, self.b2, zero],
             [self.d2, zero, zero, self.a2]])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexWeights):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self._FIELDS))
-
     def __repr__(self) -> str:
         hidden = "d" if self.kind == "C" else "c"
         body = ", ".join(f"{f}={getattr(self, f)}"

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from sixvertex import checks
+from sixvertex import checks, schur
 from sixvertex.cli import main
 from sixvertex.poly import Polynomial
+from sixvertex.yang_baxter import report
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,54 @@ def test_transfer_commute_refuses_too_many_cols_before_building(capsys, monkeypa
     assert code == 2
     assert out == ""
     assert err == "error: --cols must be at most 6\n"
+
+
+def test_verify_all_refuses_a_negative_grid_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partition grid built")
+
+    monkeypatch.setattr(checks, "_partition_grid", refuse)
+    for max_n, max_part, flag in ((-1, 4, "--max-n"), (4, -1, "--max-part")):
+        with pytest.raises(ValueError, match=f"{flag} must be at least 0"):
+            checks.suite(max_n, max_part)
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", str(max_n),
+                                 "--max-part", str(max_part))
+        assert (code, out, err) == (2, "", f"error: {flag} must be at least 0\n")
+
+
+def test_verify_all_accepts_an_empty_grid():
+    groups = checks.suite(0, 0)
+    assert [r["check"] for r in groups["tokuyama"]] == [
+        "tokuyama per-row lambda=()", "tokuyama single-t lambda=()"]
+
+
+def test_rank_ten_bialternant_is_refused_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the rank guard")
+
+    monkeypatch.setattr(schur, "_schur_bialternant", refuse)
+    monkeypatch.setattr(checks, "partition_function", refuse)
+    eleven = ",".join("0" * 11)
+    code, out, err = run_cli(capsys, "schur", "--lambda", eleven)
+    assert (code, out) == (2, "")
+    assert err == ("error: the bialternant of rank 11 sums 39916800 signed terms; "
+                   "the limit is rank 9\n")
+    code, out, err = run_cli(capsys, "verify", "tokuyama", "--lambda", ",".join("0" * 10))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the bialternant of rank 10 sums 3628800 signed terms")
+    code, out, _ = run_cli(capsys, "schur", "--lambda", eleven, "--method", "pattern")
+    assert (code, out) == (0, "1\n")
+
+
+def test_failed_check_prints_sorted_lines_witness_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "triangularity", lambda: [
+        report("a passing check", True),
+        report("z failing check", False, {"z": 1, "a": [2]})])
+    code, out, err = run_cli(capsys, "verify", "triangularity")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ['FAIL z failing check witness={"a": [2], "z": 1}',
+                                "PASS a passing check",
+                                "1/2 checks passed"]
 
 
 def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):

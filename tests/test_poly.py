@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from sixvertex.lattice import BoundarySpec, enumerate_states, state_to_gt
+from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
+                              enumerate_states, state_to_gt)
+from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
-from sixvertex.weights import IceKind, gamma
+from sixvertex.weights import IceKind, VertexWeights, gamma
 
 
 def random_coeff(rng, with_imag=False):
@@ -105,6 +107,39 @@ def test_values_survive_pickle_and_copy(value):
         with pytest.raises(AttributeError):
             delattr(clone, name)
         assert getattr(clone, name) == getattr(value, name)
+
+
+def slot_equality_cases():
+    """A builder for each class with slot-wise equality, its input, and an
+    input that changes one constructor argument."""
+    space = VarSpace(2)
+    one, z, t = space.one(), space.z(1), space.t(2)
+    boundary = BoundarySpec(IceKind.GAMMA, (1, 0))
+    state = next(enumerate_states(boundary))
+    flipped = [list(row) for row in state.horizontal]
+    flipped[0][1] = -flipped[0][1]
+    return [
+        pytest.param(lambda lam: BoundarySpec(IceKind.GAMMA, lam), (1, 0), (1, 1),
+                     id="BoundarySpec"),
+        pytest.param(GTPattern, ((1, 0), (1,)), ((1, 0), (0,)), id="GTPattern"),
+        pytest.param(lambda h: LatticeState(boundary, state.vertical, h),
+                     state.horizontal, flipped, id="LatticeState"),
+        pytest.param(PolyMatrix, [[one, z], [t, one]], [[one, z], [t, z]],
+                     id="PolyMatrix"),
+        pytest.param(lambda d2: VertexWeights.type_d(one, one, z, t, one, d2), z, t,
+                     id="VertexWeights"),
+    ]
+
+
+@pytest.mark.parametrize("build, inputs, changed", slot_equality_cases())
+def test_slot_equality_and_hash(build, inputs, changed):
+    value, twin = build(inputs), build(copy.deepcopy(inputs))
+    assert value is not twin
+    assert value == twin and hash(value) == hash(twin)
+    assert build(changed) != value
+    for other in value_objects():
+        if type(other) is not type(value):
+            assert not value == other and not other == value
 
 
 def test_varspace_guards():

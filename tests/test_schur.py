@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from sixvertex import schur
 from sixvertex.poly import GaussianRational, VarSpace, prod
 from sixvertex.schur import (deformed_denominator, s_gamma, schur_bialternant,
                              schur_pattern_sum)
@@ -13,6 +14,17 @@ from sixvertex.weights import IceKind
 def test_empty_partition_is_one():
     assert schur_bialternant(()) == VarSpace(0).one()
     assert schur_pattern_sum(()) == VarSpace(0).one()
+
+
+def test_bialternant_rank_guard_fires_before_any_term(monkeypatch):
+    def refuse(lam):
+        raise AssertionError("bialternant terms built")
+
+    monkeypatch.setattr(schur, "_schur_bialternant", refuse)
+    with pytest.raises(ValueError, match="rank 10 sums 3628800 signed terms"):
+        schur_bialternant((0,) * 10)
+    monkeypatch.setattr(schur, "_schur_bialternant", lambda lam: lam)
+    assert schur_bialternant((0,) * 9) == (0,) * 9
 
 
 def test_small_schur_values():
