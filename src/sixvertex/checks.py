@@ -259,6 +259,8 @@ def yb_system(pairs: Iterable[tuple[IceKind, IceKind]],
 
 def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
+    if not isinstance(max_cols, int) or isinstance(max_cols, bool):
+        raise TypeError(f"max_cols must be an int, got {max_cols!r}")
     if max_cols < 1:
         raise ValueError("--cols must be at least 1")
     if max_cols > MAX_TRANSFER_COLS:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
 from .poly import Immutable, Polynomial, VarSpace, poly_sum, prod
@@ -40,6 +40,10 @@ _DEFAULT_MAX_STATES = 10_000_000
 
 # Largest column count of transfer_matrix: V has 4^n_cols polynomial entries.
 MAX_TRANSFER_COLS = 6
+
+
+def _row_label(kind: IceKind, n: int, r: int) -> int:
+    return r + 1 if kind is IceKind.GAMMA else n - r
 
 
 def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -88,7 +92,7 @@ class BoundarySpec(Immutable):
         """Variable index for physical row r (0-based from the top)."""
         if not 0 <= r < self.n:
             raise IndexError(f"row {r} out of range for {self.n} rows")
-        return r + 1 if self.kind is IceKind.GAMMA else self.n - r
+        return _row_label(self.kind, self.n, r)
 
     def __repr__(self) -> str:
         return f"BoundarySpec({self.kind.value}, {self.lam})"
@@ -208,6 +212,26 @@ def _admissible(kind: IceKind, pattern: tuple[int, int, int, int]) -> bool:
     return w * n * e * s == 1 and pattern not in _EXCLUDED[kind]
 
 
+def interleavers(row: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
+    """Every row of len(row) - 1 entries interleaving `row`, descending lex order.
+
+    Entry p lies between row[p] and row[p + 1]; with `strict` the entries
+    also strictly decrease, otherwise they weakly decrease.  A one-entry
+    row has the empty row as its only interleaver, the empty row has none.
+    """
+    if not row:
+        return
+
+    def below(p: int, ceiling: int, acc: tuple[int, ...]):
+        if p == len(row) - 1:
+            yield acc
+            return
+        for v in range(min(row[p], ceiling), row[p + 1] - 1, -1):
+            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
+
+    yield from below(0, row[0], ())
+
+
 def gt_patterns(top: tuple[int, ...], strict: bool,
                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Rows of every GT pattern with top row `top`, descending lex order.
@@ -219,24 +243,34 @@ def gt_patterns(top: tuple[int, ...], strict: bool,
     if not top:
         yield ()
         return
-
-    def below(p: int, ceiling: int, acc: tuple[int, ...]):
-        if p == len(top) - 1:
-            yield acc
-            return
-        for v in range(min(top[p], ceiling), top[p + 1] - 1, -1):
-            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
-
-    for nxt in below(0, top[0], ()):
+    for nxt in interleavers(top, strict):
         for rest in gt_patterns(nxt, strict):
             yield (top,) + rest
 
 
-def pattern_monomial(space: VarSpace, rows: Sequence[Sequence[int]]) -> Polynomial:
-    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern."""
-    sums = [sum(row) for row in rows] + [0]
-    return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(space.n)),
-                space)
+def row_sum(top: tuple[int, ...], strict: bool,
+            factor: Callable[[int, tuple[int, ...], tuple[int, ...]], Polynomial],
+            ) -> Polynomial:
+    """Sum over GT patterns with top row `top` of prod_j factor(j, row_j, row_j+1).
+
+    row_0 is `top`, each row_j+1 interleaves row_j (strictly or weakly, as
+    in gt_patterns), and the row below the last one is the empty row.  The
+    sum over the patterns below a row depends only on that row, so it is
+    computed once per distinct row, in a memo local to this call.
+    """
+    top = tuple(top)
+    space = VarSpace(len(top))
+    below_sums = {(): space.one()}
+
+    def below_sum(row: tuple[int, ...]) -> Polynomial:
+        if row not in below_sums:
+            j = len(top) - len(row)
+            below_sums[row] = poly_sum(
+                (factor(j, row, nxt) * below_sum(nxt)
+                 for nxt in interleavers(row, strict)), space)
+        return below_sums[row]
+
+    return below_sum(top)
 
 
 def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
@@ -295,20 +329,33 @@ def _row_weights(kind: IceKind, n: int) -> dict[int, VertexWeights]:
     return {label: ice_weights(space, kind, label) for label in range(1, n + 1)}
 
 
+@lru_cache(maxsize=None)
+def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
+                below: tuple[int, ...], horizontal: tuple[int, ...]) -> Polynomial:
+    """Product of the vertex weights of ice row r, from the row's own edge spins.
+
+    A row's weight depends only on the GT rows above and below it, so within
+    one partition function most rows repeat; _partition_function empties
+    this cache when it finishes.
+    """
+    w = _row_weights(kind, n)[_row_label(kind, n, r)]
+    m = len(above)
+    total = VarSpace(n).one()
+    for c in range(m):
+        pattern = (horizontal[c], above[c], horizontal[c + 1], below[c])
+        if not _admissible(kind, pattern):
+            raise ValueError(f"inadmissible vertex at row {r}, "
+                             f"column label {m - 1 - c}")
+        total = total * getattr(w, _SLOT_BY_PATTERN[pattern])
+    return total
+
+
 def state_weight(s: LatticeState) -> Polynomial:
     """Product of vertex weights, row label i supplying (z_i, t_i)."""
     b = s.boundary
-    by_label = _row_weights(b.kind, b.n)
-    total = VarSpace(b.n).one()
-    for r in range(b.n):
-        w = by_label[b.row_label(r)]
-        for c in range(b.m):
-            pattern = s.vertex_pattern(r, c)
-            if not _admissible(b.kind, pattern):
-                raise ValueError(f"inadmissible vertex at row {r}, "
-                                 f"column label {b.m - 1 - c}")
-            total = total * getattr(w, _SLOT_BY_PATTERN[pattern])
-    return total
+    return prod((_row_weight(b.kind, b.n, r, s.vertical[r], s.vertical[r + 1],
+                             s.horizontal[r]) for r in range(b.n)),
+                VarSpace(b.n))
 
 
 def partition_function(b: BoundarySpec) -> Polynomial:
@@ -319,7 +366,11 @@ def partition_function(b: BoundarySpec) -> Polynomial:
 @lru_cache(maxsize=None)
 def _partition_function(kind: IceKind, lam: tuple[int, ...]) -> Polynomial:
     b = BoundarySpec(kind, lam)
-    return poly_sum((state_weight(s) for s in enumerate_states(b)), VarSpace(b.n))
+    try:
+        return poly_sum((state_weight(s) for s in enumerate_states(b)),
+                        VarSpace(b.n))
+    finally:
+        _row_weight.cache_clear()
 
 
 def state_to_gt(s: LatticeState) -> GTPattern:
@@ -374,19 +425,17 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
     space = VarSpace(n)
     top = tuple(p + n - 1 - i for i, p in enumerate(lam))
 
-    def term(rows: tuple[tuple[int, ...], ...]) -> Polynomial:
-        out = pattern_monomial(space, rows)
-        for j in range(1, n):
-            t_var = space.t(j if per_row_t else 1)
-            above, row = rows[j - 1], rows[j]
-            for p, entry in enumerate(row):
-                if entry == above[p]:
-                    out = out * t_var
-                elif entry != above[p + 1]:
-                    out = out * (t_var + space.one())
+    def factor(j: int, above: tuple[int, ...], row: tuple[int, ...]) -> Polynomial:
+        out = space.z(j + 1, sum(above) - sum(row))
+        t_var = space.t(j + 1 if per_row_t else 1)
+        for p, entry in enumerate(row):
+            if entry == above[p]:
+                out = out * t_var
+            elif entry != above[p + 1]:
+                out = out * (t_var + space.one())
         return out
 
-    return poly_sum(map(term, gt_patterns(top, strict=True)), space)
+    return row_sum(top, True, factor)
 
 
 def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
@@ -398,6 +447,8 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     bottom spin b, later columns on the left.  alpha gives the top spins and
     beta the bottom spins, both big-endian with 0 for +.
     """
+    if not isinstance(n_cols, int) or isinstance(n_cols, bool):
+        raise TypeError(f"n_cols must be an int, got {n_cols!r}")
     if not 1 <= n_cols <= MAX_TRANSFER_COLS:
         raise ValueError(f"n_cols must be between 1 and {MAX_TRANSFER_COLS}, got {n_cols}")
     mat = w.end2() if isinstance(w, VertexWeights) else w

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from functools import lru_cache
 
-from .lattice import (BoundarySpec, gt_patterns, partition_function,
-                      pattern_monomial, validate_partition)
+from .lattice import (BoundarySpec, partition_function, row_sum,
+                      validate_partition)
 from .poly import Polynomial, VarSpace, poly_sum, prod
 from .weights import IceKind
 
@@ -65,11 +65,14 @@ def _schur_bialternant(lam: tuple[int, ...]) -> Polynomial:
 
 
 def schur_pattern_sum(lam: Sequence[int]) -> Polynomial:
-    """Sum of z^(row-sum differences) over weak patterns with top row lambda."""
+    """Sum of z^(row-sum differences) over weak patterns with top row lambda.
+
+    A row_sum: each pair of adjacent rows contributes z_{j+1}^(|row_j| - |row_{j+1}|).
+    """
     lam = validate_partition(lam)
     space = VarSpace(len(lam))
-    return poly_sum((pattern_monomial(space, rows)
-                     for rows in gt_patterns(lam, strict=False)), space)
+    return row_sum(lam, False, lambda j, above, row:
+                   space.z(j + 1, sum(above) - sum(row)))
 
 
 def deformed_denominator(kind: IceKind, n: int) -> Polynomial:

@@ -141,6 +141,17 @@ def test_checks_refuse_to_run_zero_checks():
         checks.transfer_commute(0)
 
 
+def test_column_counts_must_be_ints_not_bools(monkeypatch):
+    # True == 1, so a bool used to pass the range checks as one column
+    def refuse(*args):
+        raise AssertionError("transfer_matrix called")
+
+    monkeypatch.setattr(checks, "transfer_matrix", refuse)
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(TypeError, match="max_cols must be an int"):
+            checks.transfer_commute(bad)
+
+
 def test_transfer_commute_refuses_too_many_cols_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("transfer_matrix called")

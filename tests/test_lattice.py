@@ -4,15 +4,25 @@ import json
 
 import pytest
 
+from sixvertex import lattice
+from sixvertex.checks import _SPOT_CHECKS, _partition_grid
 from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                                brute_force_states, enumerate_states,
-                               gt_row_sums, gt_to_state, partition_function,
+                               gt_patterns, gt_row_sums, gt_to_state,
+                               interleavers, partition_function, row_sum,
                                state_to_gt, state_weight, tokuyama_sum,
                                transfer_matrix, validate_partition)
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import VarSpace, prod
+from sixvertex.poly import VarSpace, poly_sum, prod
 from sixvertex.schur import schur_bialternant
-from sixvertex.weights import IceKind, delta, gamma
+from sixvertex.weights import IceKind, delta, gamma, ice_weights
+
+# the grid verify all checks Tokuyama on: at most 4 parts, each at most 4,
+# plus the two rank-5 spot checks
+TOKUYAMA_GRID = _partition_grid(4, 4) + list(_SPOT_CHECKS)
+
+# the grid the gt-bijection checks cover
+BIJECTION_GRID = _partition_grid(3, 3)
 
 
 def test_validate_partition():
@@ -108,6 +118,95 @@ def test_brute_force_size_guard():
         list(brute_force_states(BoundarySpec(IceKind.GAMMA, (0,) * 5)))
 
 
+def reference_gt_patterns(top, strict):
+    """The GT walker with its own interleaving loop, as an order oracle."""
+    if not top:
+        yield ()
+        return
+
+    def below(p, ceiling, acc):
+        if p == len(top) - 1:
+            yield acc
+            return
+        for v in range(min(top[p], ceiling), top[p + 1] - 1, -1):
+            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
+
+    for nxt in below(0, top[0], ()):
+        for rest in reference_gt_patterns(nxt, strict):
+            yield (top,) + rest
+
+
+def test_interleavers():
+    assert list(interleavers((2, 0), True)) == [(2,), (1,), (0,)]
+    assert list(interleavers((3, 1, 0), True)) == [
+        (3, 1), (3, 0), (2, 1), (2, 0), (1, 0)]
+    assert list(interleavers((1, 1, 0), False)) == [(1, 1), (1, 0)]
+    assert list(interleavers((4,), True)) == [()]
+    assert list(interleavers((), True)) == []
+
+
+def test_gt_patterns_keep_the_descending_lex_order():
+    for lam in TOKUYAMA_GRID:
+        for strict in (True, False):
+            top = BoundarySpec(IceKind.GAMMA, lam).top_row() if strict else lam
+            patterns = list(gt_patterns(top, strict))
+            assert patterns == list(reference_gt_patterns(top, strict))
+            assert patterns == sorted(patterns, reverse=True)
+
+
+def pattern_monomial(space, rows):
+    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern."""
+    sums = [sum(row) for row in rows] + [0]
+    return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(space.n)),
+                space)
+
+
+def reference_tokuyama_sum(lam, per_row_t):
+    """tokuyama_sum one pattern at a time, with no memo over GT rows."""
+    n = len(lam)
+    space = VarSpace(n)
+    top = tuple(p + n - 1 - i for i, p in enumerate(lam))
+
+    def term(rows):
+        out = pattern_monomial(space, rows)
+        for j in range(1, n):
+            t_var = space.t(j if per_row_t else 1)
+            above, row = rows[j - 1], rows[j]
+            for p, entry in enumerate(row):
+                if entry == above[p]:
+                    out = out * t_var
+                elif entry != above[p + 1]:
+                    out = out * (t_var + space.one())
+        return out
+
+    return poly_sum(map(term, gt_patterns(top, strict=True)), space)
+
+
+@pytest.mark.parametrize("per_row_t", [True, False])
+def test_tokuyama_sum_matches_the_per_pattern_sum(per_row_t):
+    for lam in TOKUYAMA_GRID:
+        assert tokuyama_sum(lam, per_row_t) == reference_tokuyama_sum(lam, per_row_t)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_row_sum_matches_the_product_over_each_pattern(strict):
+    for lam in _partition_grid(4, 3):
+        top = BoundarySpec(IceKind.GAMMA, lam).top_row() if strict else lam
+        space = VarSpace(len(top))
+
+        # a factor that sees the row index and both rows, so a memo keyed on
+        # too little, or a factor applied to the wrong pair, changes the sum
+        def factor(j, above, row):
+            return (space.z(j + 1, sum(above) - sum(row))
+                    * (space.t(j + 1, len(row)) + space.const(above[-1] + 1)))
+
+        expected = poly_sum(
+            (prod((factor(j, rows[j], (rows + ((),))[j + 1])
+                   for j in range(len(rows))), space)
+             for rows in gt_patterns(top, strict)), space)
+        assert row_sum(top, strict, factor) == expected
+
+
 def test_enumeration_state_limit(monkeypatch):
     monkeypatch.setenv("ICE_MAX_STATES", "1")
     with pytest.raises(RuntimeError):
@@ -173,16 +272,57 @@ def test_state_validation_errors():
 
 
 def test_inadmissible_vertex_is_reported_with_coordinates():
-    b = BoundarySpec(IceKind.GAMMA, (0, 0))
-    good = next(iter(enumerate_states(b)))
-    assert good.first_inadmissible() is None
-    flipped = (good.vertical[0],
-               tuple(-s for s in good.vertical[1]),
-               good.vertical[2])
-    near_miss = LatticeState(b, flipped, good.horizontal)
-    assert near_miss.first_inadmissible() is not None
-    with pytest.raises(ValueError, match=r"row \d+, column label \d+"):
-        state_weight(near_miss)
+    for kind in IceKind:
+        b = BoundarySpec(kind, (0, 0))
+        good = next(iter(enumerate_states(b)))
+        assert good.first_inadmissible() is None
+        flipped = (good.vertical[0],
+                   tuple(-s for s in good.vertical[1]),
+                   good.vertical[2])
+        near_miss = LatticeState(b, flipped, good.horizontal)
+        r, c = near_miss.first_inadmissible()
+        message = rf"row {r}, column label {b.m - 1 - c}$"
+        # twice: the row memo must not turn the error into a cached weight
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                state_weight(near_miss)
+
+
+def reference_state_weight(s):
+    """The product of all n*m vertex weights, one multiply per vertex."""
+    b = s.boundary
+    space = VarSpace(b.n)
+    total = space.one()
+    for r in range(b.n):
+        w = ice_weights(space, b.kind, b.row_label(r))
+        for c in range(b.m):
+            total = total * getattr(w, lattice._SLOT_BY_PATTERN[s.vertex_pattern(r, c)])
+    return total
+
+
+def test_state_weight_matches_the_per_vertex_product():
+    for lam in BIJECTION_GRID:
+        for kind in IceKind:
+            for s in enumerate_states(BoundarySpec(kind, lam)):
+                assert state_weight(s) == reference_state_weight(s)
+
+
+def test_row_weight_memo_is_emptied_after_each_partition_function(monkeypatch):
+    b = BoundarySpec(IceKind.DELTA, (2, 1, 0))
+    weights = [state_weight(s) for s in enumerate_states(b)]
+    # rows repeat between states, which is what the memo is for
+    assert lattice._row_weight.cache_info().hits > 0
+    lattice._partition_function.cache_clear()
+    assert partition_function(b) == poly_sum(weights)
+    assert lattice._row_weight.cache_info().currsize == 0
+
+    state_weight(next(enumerate_states(b)))
+    assert lattice._row_weight.cache_info().currsize > 0
+    lattice._partition_function.cache_clear()
+    monkeypatch.setenv("ICE_MAX_STATES", "1")
+    with pytest.raises(RuntimeError, match="ICE_MAX_STATES=1"):
+        partition_function(b)
+    assert lattice._row_weight.cache_info().currsize == 0
 
 
 def test_state_json_round_trip():
@@ -284,3 +424,6 @@ def test_transfer_matrix_guards():
         transfer_matrix(gamma(space, 1), 7)
     with pytest.raises(ValueError):
         transfer_matrix(PolyMatrix.identity(space, 2), 2)
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError, match="n_cols must be an int"):
+            transfer_matrix(gamma(space, 1), bad)

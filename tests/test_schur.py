@@ -5,7 +5,9 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from sixvertex import schur
-from sixvertex.poly import GaussianRational, VarSpace, prod
+from sixvertex.checks import _SPOT_CHECKS, _partition_grid
+from sixvertex.lattice import gt_patterns
+from sixvertex.poly import GaussianRational, VarSpace, poly_sum, prod
 from sixvertex.schur import (deformed_denominator, s_gamma, schur_bialternant,
                              schur_pattern_sum)
 from sixvertex.weights import IceKind
@@ -39,6 +41,25 @@ def test_methods_agree_on_small_grid():
     for n in range(5):
         for lam in combinations_with_replacement(range(4, -1, -1), n):
             assert schur_bialternant(lam) == schur_pattern_sum(lam)
+
+
+def pattern_monomial(space, rows):
+    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern."""
+    sums = [sum(row) for row in rows] + [0]
+    return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(space.n)),
+                space)
+
+
+def reference_schur_pattern_sum(lam):
+    """schur_pattern_sum one weak pattern at a time, with no memo over GT rows."""
+    space = VarSpace(len(lam))
+    return poly_sum((pattern_monomial(space, rows)
+                     for rows in gt_patterns(lam, strict=False)), space)
+
+
+def test_pattern_sum_matches_the_per_pattern_sum():
+    for lam in _partition_grid(4, 4) + list(_SPOT_CHECKS):
+        assert schur_pattern_sum(lam) == reference_schur_pattern_sum(lam)
 
 
 def test_principal_specialization():
