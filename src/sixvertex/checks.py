@@ -40,6 +40,23 @@ def _partition_grid(max_n: int, max_part: int) -> list[tuple[int, ...]]:
                 range(max_part, -1, -1), n)]
 
 
+def _require_count(value: int, name: str, flag: str) -> None:
+    """Refuse a count that is not an int (a bool included) or is below 1,
+    so that no check runs on zero draws or columns and reports success."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1")
+
+
+def _require_grid(max_n: int, max_part: int) -> None:
+    """Refuse a negative partition grid before it is built."""
+    if max_n < 0:
+        raise ValueError("--max-n must be at least 0")
+    if max_part < 0:
+        raise ValueError("--max-part must be at least 0")
+
+
 def factorization(kind: IceKind, lam: tuple[int, ...]) -> list[dict]:
     """Z = deformed denominator * Schur polynomial."""
     z_fun = partition_function(BoundarySpec(kind, lam))
@@ -80,8 +97,7 @@ def ybe(kinds: tuple[IceKind, IceKind, IceKind] | None = None,
 
 def group_law(samples: int, seed: int) -> list[dict]:
     """pi is a homomorphism, compose keeps free fermions, and compose is associative."""
-    if samples < 1:
-        raise ValueError("--samples must be at least 1")
+    _require_count(samples, "samples", "--samples")
     rng = random.Random(seed)
     reports = []
     for combo in ("CC", "CD", "DC", "DD"):
@@ -121,6 +137,7 @@ def group_law(samples: int, seed: int) -> list[dict]:
 
 def construction(samples: int, seed: int) -> list[dict]:
     """R solved from a matched pair commutes; a mismatched pair admits no R."""
+    _require_count(samples, "samples", "--samples")
     rng = random.Random(seed)
     zero_ok, zero_wit = True, None
     for _ in range(samples):
@@ -143,6 +160,7 @@ def construction(samples: int, seed: int) -> list[dict]:
 
 def bijection(max_n: int, max_part: int) -> list[dict]:
     """Pattern enumeration equals brute force and round-trips, per grid boundary."""
+    _require_grid(max_n, max_part)
     reports = []
     for lam in _partition_grid(max_n, max_part):
         label = _lam_label(lam)
@@ -259,10 +277,7 @@ def yb_system(pairs: Iterable[tuple[IceKind, IceKind]],
 
 def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
-    if not isinstance(max_cols, int) or isinstance(max_cols, bool):
-        raise TypeError(f"max_cols must be an int, got {max_cols!r}")
-    if max_cols < 1:
-        raise ValueError("--cols must be at least 1")
+    _require_count(max_cols, "max_cols", "--cols")
     if max_cols > MAX_TRANSFER_COLS:
         raise ValueError(f"--cols must be at most {MAX_TRANSFER_COLS}")
     space = VarSpace(2)
@@ -282,10 +297,7 @@ def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
     parts, each at most max_part, plus two rank-5 spot checks when
     max_n >= 4 and max_part >= 2.
     """
-    if max_n < 0:
-        raise ValueError("--max-n must be at least 0")
-    if max_part < 0:
-        raise ValueError("--max-part must be at least 0")
+    _require_grid(max_n, max_part)
     lambdas = _partition_grid(max_n, max_part)
     if max_n >= 4 and max_part >= 2:
         lambdas += _SPOT_CHECKS

@@ -20,8 +20,12 @@ coefficients:
   a sum at or above the limit sets the guard bit instead.  Every operation
   that can raise an exponent checks the guard bits of its result and raises
   :class:`OverflowError`, so an exponent never wraps.
-* A coefficient is an ``int`` or a ``Fraction``, or a
-  :class:`GaussianRational` when its imaginary part is non-zero.
+* A coefficient enters as an ``int`` or a ``Fraction``, or as a
+  :class:`GaussianRational` when its imaginary part is non-zero.  Arithmetic
+  stores whatever its operands produce, so a coefficient computed from a
+  Gaussian one stays a ``GaussianRational`` even when its imaginary part
+  cancelled.  Equality, hashing, ``str`` and JSON treat a real
+  ``GaussianRational`` like its ``Fraction``, so the stored type never shows.
 
 Exponent tuples and ``GaussianRational`` coefficients appear only at the
 public edge: the constructor, ``terms()``, ``leading()``, the JSON and text
@@ -201,7 +205,7 @@ IMAG = GaussianRational(0, 1)
 
 Monomial = tuple  # exponent vector of length 2n: z-block then t-block
 
-Coefficient = int | Fraction | GaussianRational  # as stored: see _coeff
+Coefficient = int | Fraction | GaussianRational  # as stored
 
 
 def _coeff(value: object) -> Coefficient:
@@ -234,16 +238,6 @@ def _quotient(a: Coefficient, b: Coefficient) -> Coefficient:
 def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
     """Real and imaginary parts of a stored coefficient."""
     return (coeff.re, coeff.im) if type(coeff) is GaussianRational else (coeff, 0)
-
-
-def _realify(terms: dict) -> dict:
-    """Store, in place, each Gaussian coefficient whose imaginary part
-    cancelled as the real coefficient it now is."""
-    if GaussianRational in map(type, terms.values()):
-        for mono, coeff in terms.items():
-            if type(coeff) is GaussianRational and not coeff.im:
-                terms[mono] = _coeff(coeff)
-    return terms
 
 
 class VarSpace(Immutable):
@@ -387,21 +381,19 @@ class Polynomial(Immutable):
             raise ValueError(f"not a constant polynomial: {self}")
         return _gauss(self._terms.get(0, 0))
 
-    def _check_space(self, other: "Polynomial") -> None:
-        if self.space != other.space:
+    def _operand(self, other) -> "Polynomial":
+        """``other`` as a polynomial of this space: a scalar becomes a constant."""
+        if not isinstance(other, Polynomial):
+            return self.space.const(other)
+        if other.space != self.space:
             raise ValueError(f"variable space mismatch: {self.space} vs {other.space}")
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        return self.space.const(other)
+        return other
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        self._check_space(other)
+        other = self._operand(other)
         terms = dict(self._terms)
         _accumulate(terms, other._terms, operator.add)
-        return Polynomial._raw(self.space, _realify(terms))
+        return Polynomial._raw(self.space, terms)
 
     __radd__ = __add__
 
@@ -409,18 +401,16 @@ class Polynomial(Immutable):
         return Polynomial._raw(self.space, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        self._check_space(other)
+        other = self._operand(other)
         terms = dict(self._terms)
         _accumulate(terms, other._terms, operator.sub)
-        return Polynomial._raw(self.space, _realify(terms))
+        return Polynomial._raw(self.space, terms)
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        return self._operand(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        self._check_space(other)
+        other = self._operand(other)
         terms: dict[int, Coefficient] = {}
         get = terms.get
         right = list(other._terms.items())
@@ -431,7 +421,7 @@ class Polynomial(Immutable):
         if not all(terms.values()):
             terms = {m: c for m, c in terms.items() if c}
         self.space._check_guard(terms)
-        return Polynomial._raw(self.space, _realify(terms))
+        return Polynomial._raw(self.space, terms)
 
     __rmul__ = __mul__
 
@@ -470,8 +460,7 @@ class Polynomial(Immutable):
         monomial and cancels it with one quotient term.  A monomial whose
         coefficient cancelled stays in the heap and is skipped when popped.
         """
-        divisor = self._coerce(divisor)
-        self._check_space(divisor)
+        divisor = self._operand(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         guard = self.space._guard
@@ -497,7 +486,7 @@ class Polynomial(Immutable):
                 remainder[mono] = coeff
                 raise ValueError(
                     "inexact division, remainder "
-                    f"{Polynomial._raw(self.space, _realify(remainder))}")
+                    f"{Polynomial._raw(self.space, remainder)}")
             ratio -= guard
             q = _quotient(coeff, lead_coeff)
             quotient[ratio] = q
@@ -533,7 +522,7 @@ class Polynomial(Immutable):
                     scale = scale * val
                 mono -= (e << offset) + (e << shift)
             _accumulate(terms, {mono: scale}, operator.add)
-        return Polynomial._raw(space, _realify(terms))
+        return Polynomial._raw(space, terms)
 
     def evaluate(self, zs: Sequence[object], ts: Sequence[object]) -> GaussianRational:
         """Evaluate at a full assignment; zs and ts give all n values each."""
@@ -699,4 +688,4 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
         if space is None:
             raise ValueError("empty sum with no variable space")
         return space.zero()
-    return Polynomial._raw(found, _realify(terms))
+    return Polynomial._raw(found, terms)

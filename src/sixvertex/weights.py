@@ -287,8 +287,7 @@ def _random_nonzero(rng: random.Random, space: VarSpace) -> Polynomial:
     return space.const(Fraction(num, rng.randint(1, 9)))
 
 
-def random_free_fermionic(kind: str, rng: random.Random,
-                          space: VarSpace | None = None) -> VertexWeights:
+def random_free_fermionic(kind: str, rng: random.Random) -> VertexWeights:
     """Random constant free-fermionic weights of the given kind ("C" or "D").
 
     Five slots are drawn as small nonzero rationals and the last is solved
@@ -296,7 +295,7 @@ def random_free_fermionic(kind: str, rng: random.Random,
     """
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', not {kind!r}")
-    space = space if space is not None else VarSpace(0)
+    space = VarSpace(0)
     while True:
         a1, a2, b1, b2, e1 = (_random_nonzero(rng, space) for _ in range(5))
         numerator = a1 * a2 + b1 * b2

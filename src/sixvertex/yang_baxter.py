@@ -21,28 +21,22 @@ from .weights import IceKind, VertexWeights, ice_weights, r_weights_params
 
 Family = Callable[[Polynomial, Polynomial, Polynomial, Polynomial], PolyMatrix]
 
-_SLOTS = ("12", "13", "23")
+# Each slot: the two factors of V (x) V (x) V that phi acts on, then the
+# omitted factor, on which the lift is the identity.
+_SLOT_FACTORS = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (1, 2, 0)}
+_BASIS3 = tuple(itertools.product(range(2), repeat=3))  # (a, b, c) at index 4a + 2b + c
 
 
 def lift(phi: PolyMatrix, slot: str) -> PolyMatrix:
     """Extend a 4x4 endomorphism of V (x) V to V^3, identity on the omitted factor."""
     if phi.size != 4:
         raise ValueError("lift expects a 4x4 matrix")
-    if slot not in _SLOTS:
-        raise ValueError(f"slot must be one of {_SLOTS}")
+    if slot not in _SLOT_FACTORS:
+        raise ValueError(f"slot must be one of {tuple(_SLOT_FACTORS)}")
+    i, j, k = _SLOT_FACTORS[slot]
     zero = phi.space.zero()
-    out = [[zero] * 8 for _ in range(8)]
-    for a, b, c in itertools.product(range(2), repeat=3):
-        row = 4 * a + 2 * b + c
-        for ap, bp, cp in itertools.product(range(2), repeat=3):
-            col = 4 * ap + 2 * bp + cp
-            if slot == "12" and c == cp:
-                out[row][col] = phi[2 * a + b, 2 * ap + bp]
-            elif slot == "13" and b == bp:
-                out[row][col] = phi[2 * a + c, 2 * ap + cp]
-            elif slot == "23" and a == ap:
-                out[row][col] = phi[2 * b + c, 2 * bp + cp]
-    return PolyMatrix(out)
+    return PolyMatrix([[phi[2 * x[i] + x[j], 2 * y[i] + y[j]] if x[k] == y[k] else zero
+                        for y in _BASIS3] for x in _BASIS3])
 
 
 def yb_commutator(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix) -> PolyMatrix:
@@ -142,18 +136,20 @@ def check_ice_commutator(x: IceKind, y: IceKind) -> dict:
     return report(f"ice-commutator {x.value},{y.value}", residual)
 
 
+def _ybe_residual(f12: Family, f13: Family, f23: Family) -> PolyMatrix:
+    """[[F12(1,2), F13(1,3), F23(2,3)]], where F(j,k) is the family F at the
+    parameter pairs (z_j, t_j) and (z_k, t_k) of rank 3."""
+    space = VarSpace(3)
+    p1, p2, p3 = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
+    return yb_commutator(f12(*p1, *p2), f13(*p1, *p3), f23(*p2, *p3))
+
+
 def check_parametrized_ybe(x: IceKind, y: IceKind, z: IceKind,
                            hat: bool = False) -> dict:
     """Verifies [[R_XY(1,2), R_XZ(1,3), R_YZ(2,3)]] = 0, plainly or hatted."""
-    space = VarSpace(3)
-    pairs = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
-    fams = [r_family(x, y), r_family(x, z), r_family(y, z)]
-    if hat:
-        fams = [hatted(f) for f in fams]
-    f12 = fams[0](*pairs[0], *pairs[1])
-    g13 = fams[1](*pairs[0], *pairs[2])
-    h23 = fams[2](*pairs[1], *pairs[2])
-    residual = yb_commutator(f12, g13, h23)
+    wrap = hatted if hat else (lambda f: f)
+    residual = _ybe_residual(wrap(r_family(x, y)), wrap(r_family(x, z)),
+                             wrap(r_family(y, z)))
     tag = " hatted" if hat else ""
     return report(f"ybe {x.value},{y.value},{z.value}{tag}", residual)
 
@@ -240,8 +236,6 @@ _AXIOMS = (("A", "A", "A"), ("D", "D", "D"),
 def check_yb_system(x: IceKind, y: IceKind, hat: bool = False) -> list[dict]:
     """Verifies the eight Yang-Baxter system axioms for A = R_XX, C = B^dd = R_XY,
     D = R_YY^dd, with every family hat-swapped when requested."""
-    space = VarSpace(3)
-    pairs = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
     wrap = hatted if hat else (lambda f: f)
     a = wrap(r_family(x, x))
     c = wrap(r_family(x, y))
@@ -250,11 +244,6 @@ def check_yb_system(x: IceKind, y: IceKind, hat: bool = False) -> list[dict]:
     roles = {"A": a, "B": b, "C": c, "D": d,
              "B^dd": ddagger(b), "C^dd": ddagger(c)}
     tag = " hatted" if hat else ""
-    out = []
-    for f, g, h in _AXIOMS:
-        residual = yb_commutator(roles[f](*pairs[0], *pairs[1]),
-                                 roles[g](*pairs[0], *pairs[2]),
-                                 roles[h](*pairs[1], *pairs[2]))
-        out.append(report(
-            f"yb-system {x.value},{y.value}{tag} [[{f},{g},{h}]]", residual))
-    return out
+    return [report(f"yb-system {x.value},{y.value}{tag} [[{f},{g},{h}]]",
+                   _ybe_residual(roles[f], roles[g], roles[h]))
+            for f, g, h in _AXIOMS]

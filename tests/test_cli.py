@@ -133,12 +133,34 @@ def test_verify_transfer_commute_rejects_zero_cols(capsys):
     assert err == "error: --cols must be at least 1\n"
 
 
-def test_checks_refuse_to_run_zero_checks():
+def _refuse_draws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    for name in ("random_free_fermionic", "random_matched_pair", "random_mismatched_pair"):
+        monkeypatch.setattr(checks, name, refuse)
+
+
+def test_checks_refuse_to_run_zero_checks(monkeypatch):
     # a verification that checks nothing must not report success
-    with pytest.raises(ValueError, match="--samples must be at least 1"):
-        checks.group_law(0, 1)
+    _refuse_draws(monkeypatch)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="--samples must be at least 1"):
+            checks.group_law(samples, 1)
+        with pytest.raises(ValueError, match="--samples must be at least 1"):
+            checks.construction(samples, 1)
     with pytest.raises(ValueError, match="--cols must be at least 1"):
         checks.transfer_commute(0)
+
+
+def test_sample_counts_must_be_ints_not_bools(monkeypatch):
+    # True == 1, so a bool used to run one draw and name its checks samples=True
+    _refuse_draws(monkeypatch)
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(TypeError, match="samples must be an int"):
+            checks.group_law(bad, 0)
+        with pytest.raises(TypeError, match="samples must be an int"):
+            checks.construction(bad, 1)
 
 
 def test_column_counts_must_be_ints_not_bools(monkeypatch):
@@ -176,6 +198,16 @@ def test_verify_all_refuses_a_negative_grid_before_building(capsys, monkeypatch)
         code, out, err = run_cli(capsys, "verify", "all", "--max-n", str(max_n),
                                  "--max-part", str(max_part))
         assert (code, out, err) == (2, "", f"error: {flag} must be at least 0\n")
+
+
+def test_bijection_refuses_a_negative_grid_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partition grid built")
+
+    monkeypatch.setattr(checks, "_partition_grid", refuse)
+    for max_n, max_part, flag in ((-1, 2, "--max-n"), (2, -1, "--max-part")):
+        with pytest.raises(ValueError, match=f"{flag} must be at least 0"):
+            checks.bijection(max_n, max_part)
 
 
 def test_verify_all_accepts_an_empty_grid():

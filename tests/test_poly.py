@@ -12,7 +12,8 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
-from sixvertex.weights import IceKind, VertexWeights, gamma
+from sixvertex.weights import (IceKind, VertexWeights, compose, gamma, pi_map,
+                               random_free_fermionic)
 
 
 def random_coeff(rng, with_imag=False):
@@ -283,6 +284,33 @@ def test_constant_handling_and_coercion():
     assert space.const(Fraction(2, 3)).constant_value() == Fraction(2, 3)
     with pytest.raises(ValueError):
         p.constant_value()
+
+
+def _constant_or_error(p):
+    try:
+        return p.constant_value()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cancelled_imaginary_parts_look_like_the_real_value():
+    # a coefficient computed from Gaussian ones may keep the Gaussian type
+    # after its imaginary part cancels; no public view may show the type
+    space = VarSpace(1)
+    z1, t1 = space.z(1), space.t(1)
+    pairs = [((IMAG * z1) * (IMAG * z1), -(z1 * z1)),
+             ((z1 + IMAG * t1) + (z1 - IMAG * t1), 2 * z1),
+             (space.const(IMAG) * IMAG, space.const(-1))]
+    for got, want in pairs:
+        assert got == want and want == got
+        assert hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert got.to_json() == want.to_json()
+        assert got.terms() == want.terms()
+        assert _constant_or_error(got) == _constant_or_error(want)
+    rng = random.Random(5)
+    r, t = (random_free_fermionic("D", rng) for _ in range(2))
+    assert pi_map(compose(r, t)) == pi_map(r) @ pi_map(t)
 
 
 def test_pow_and_leading():
