@@ -16,8 +16,10 @@ lexicographic order, so state order is deterministic.
 
 from __future__ import annotations
 
+import operator
 import os
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
@@ -77,8 +79,7 @@ class BoundarySpec(Immutable):
         return tuple(p + self.n - 1 - i for i, p in enumerate(self.lam))
 
     def top_row_spins(self) -> tuple[int, ...]:
-        minus = frozenset(self.top_row())
-        return tuple(-1 if label in minus else 1 for label in self.column_labels)
+        return _row_spins(self, self.top_row())
 
     @property
     def left_spin(self) -> int:
@@ -284,7 +285,7 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
         count += 1
         if count > limit:
             raise RuntimeError(f"enumeration exceeded ICE_MAX_STATES={limit}")
-        yield gt_to_state(GTPattern(rows), b)
+        yield _state_from_rows(b, rows)
 
 
 def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
@@ -378,8 +379,7 @@ def state_to_gt(s: LatticeState) -> GTPattern:
     b = s.boundary
     labels = b.column_labels
     rows = tuple(
-        tuple(sorted((label for label, spin in zip(labels, s.vertical[j])
-                      if spin == -1), reverse=True))
+        tuple(label for label, spin in zip(labels, s.vertical[j]) if spin == -1)
         for j in range(b.n))
     return GTPattern(rows)
 
@@ -390,19 +390,26 @@ def gt_to_state(g: GTPattern, b: BoundarySpec) -> LatticeState:
         raise ValueError(f"pattern rank {g.n} does not match boundary rank {b.n}")
     if g.rows and g.rows[0] != b.top_row():
         raise ValueError(f"top row must be lambda + rho = {b.top_row()}")
-    minus = [frozenset(row) for row in g.rows] + [frozenset()]
-    labels = b.column_labels
-    vertical = tuple(tuple(-1 if label in minus[j] else 1 for label in labels)
-                     for j in range(b.n + 1))
-    horizontal = []
-    for r in range(b.n):
-        w = b.left_spin
-        row = [w]
-        for c in range(b.m):
-            w = w * vertical[r][c] * vertical[r + 1][c]
-            row.append(w)
-        horizontal.append(tuple(row))
-    return LatticeState(b, vertical, tuple(horizontal))
+    return _state_from_rows(b, g.rows)
+
+
+def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
+    """Spins of one row of vertical edges: - at the labels in `row`."""
+    minus = frozenset(row)
+    return tuple(-1 if label in minus else 1 for label in b.column_labels)
+
+
+def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...]) -> LatticeState:
+    """The state of the GT pattern `rows` (top row b.top_row()), below it all +.
+
+    The ice rule forces each horizontal spin: the spin to its left times the
+    two vertical spins of the vertex between them.
+    """
+    vertical = tuple(_row_spins(b, row) for row in rows + ((),))
+    horizontal = tuple(tuple(accumulate(map(operator.mul, above, below), operator.mul,
+                                        initial=b.left_spin))
+                       for above, below in zip(vertical, vertical[1:]))
+    return LatticeState(b, vertical, horizontal)
 
 
 def gt_row_sums(g: GTPattern) -> tuple[int, ...]:

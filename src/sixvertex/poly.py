@@ -249,6 +249,8 @@ class VarSpace(Immutable):
     __slots__ = ("n", "_shift", "_guard", "_fields")
 
     def __init__(self, n: int):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"rank must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"rank must be non-negative, got {n}")
         width = 2 * n
@@ -576,10 +578,10 @@ class Polynomial(Immutable):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
-        space = VarSpace(int(data["n"]))
+        space = VarSpace(data["n"])
         terms: dict[Monomial, GaussianRational] = {}
         for term in data["terms"]:
-            mono = tuple(int(e) for e in term["z"]) + tuple(int(e) for e in term["t"])
+            mono = tuple(term["z"]) + tuple(term["t"])
             coeff = GaussianRational(term["re"], term["im"])
             if mono in terms:
                 raise ValueError(f"duplicate monomial {mono}")
@@ -632,30 +634,15 @@ def _mono_str(mono: Monomial, n: int) -> str:
 
 
 def _term_str(coeff: Coefficient, body: str) -> tuple[str, bool]:
-    """Render one term; returns (text, sign-folded-out) for joining."""
+    """Render one term; returns (text, sign-folded-out) for joining.  A complex
+    coefficient prints in parentheses, so its sign is never folded out."""
+    text = str(coeff)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
     if not body:
-        text = str(coeff)
-        if text.startswith("-") and not text.startswith("(-"):
-            return text[1:], True
-        return text, False
-    re, im = _parts(coeff)
-    if im == 0:
-        if re == 1:
-            return body, False
-        if re == -1:
-            return body, True
-        if re < 0:
-            return f"{-re}*{body}", True
-        return f"{re}*{body}", False
-    if re == 0:
-        if im == 1:
-            return f"i*{body}", False
-        if im == -1:
-            return f"i*{body}", True
-        if im < 0:
-            return f"{_imag_str(-im)}*{body}", True
-        return f"{_imag_str(im)}*{body}", False
-    return f"{coeff}*{body}", False
+        return text, negative
+    return (body if text == "1" else f"{text}*{body}"), negative
 
 
 def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:

@@ -17,7 +17,8 @@ from typing import Callable
 
 from .matrix import PolyMatrix
 from .poly import ONE, ZERO, GaussianRational, Polynomial, VarSpace
-from .weights import IceKind, VertexWeights, ice_weights, r_weights_params
+from .weights import (IceKind, VertexWeights, ice_weights, r_weights,
+                      r_weights_params)
 
 Family = Callable[[Polynomial, Polynomial, Polynomial, Polynomial], PolyMatrix]
 
@@ -129,7 +130,7 @@ def report(check: str, outcome: PolyMatrix | Polynomial | bool,
 def check_ice_commutator(x: IceKind, y: IceKind) -> dict:
     """Verifies [[R_XY(1,2), X(1), Y(2)]] = 0 symbolically."""
     space = VarSpace(2)
-    r = r_weights_params(x, y, space.z(1), space.t(1), space.z(2), space.t(2))
+    r = r_weights(space, x, y, 1, 2)
     residual = yb_commutator(r.end2(),
                              ice_weights(space, x, 1).end2(),
                              ice_weights(space, y, 2).end2())
@@ -157,8 +158,8 @@ def check_parametrized_ybe(x: IceKind, y: IceKind, z: IceKind,
 def check_triangularity(x: IceKind, y: IceKind) -> Polynomial:
     """The scalar c with R_XY(1,2) P R_YX(2,1) P = c * I; errors if not scalar."""
     space = VarSpace(2)
-    fwd = r_weights_params(x, y, space.z(1), space.t(1), space.z(2), space.t(2))
-    rev = r_weights_params(y, x, space.z(2), space.t(2), space.z(1), space.t(1))
+    fwd = r_weights(space, x, y, 1, 2)
+    rev = r_weights(space, y, x, 2, 1)
     p = swap_matrix(space)
     product = fwd.end2() @ p @ rev.end2() @ p
     scalar = product.scalar_value()

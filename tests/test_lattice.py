@@ -92,6 +92,16 @@ def test_enumeration_order_is_descending():
     assert patterns == [[[2, 0], [2]], [[2, 0], [1]], [[2, 0], [0]]]
 
 
+@pytest.mark.parametrize("kind", list(IceKind))
+def test_enumerated_states_carry_the_walker_rows(kind):
+    # states are built from the walker's rows with no GTPattern check in
+    # between, so reading each state back must give those rows, in order
+    for lam in BIJECTION_GRID + list(_SPOT_CHECKS):
+        b = BoundarySpec(kind, lam)
+        assert [state_to_gt(s).rows for s in enumerate_states(b)] \
+            == list(gt_patterns(b.top_row(), True))
+
+
 def test_rank_zero_and_rank_one_partition_functions():
     b = BoundarySpec(IceKind.GAMMA, ())
     assert len(list(enumerate_states(b))) == 1

@@ -146,6 +146,9 @@ def test_slot_equality_and_hash(build, inputs, changed):
 def test_varspace_guards():
     with pytest.raises(ValueError):
         VarSpace(-1)
+    for rank in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="rank must be an int"):
+            VarSpace(rank)
     space = VarSpace(2)
     with pytest.raises(IndexError):
         space.z(0)
@@ -233,6 +236,36 @@ def test_canonical_order_and_text_rendering():
     assert str(space.z(1) - space.z(2)) == "z1 - z2"
     assert str(space.const(IMAG) * space.z(1)) == "i*z1"
     assert str(space.const(GaussianRational(1, 1)) * space.z(1)) == "(1+i)*z1"
+
+
+def _stored_minus_two(space):
+    # i * 2i keeps the GaussianRational type for the real product -2
+    return space.const(IMAG) * (2 * IMAG)
+
+
+@pytest.mark.parametrize("coeff, alone, times_z1, second", [
+    (1, "1", "z1", "z1 + z2"),
+    (-1, "-1", "-z1", "z1 - z2"),
+    (2, "2", "2*z1", "z1 + 2*z2"),
+    (Fraction(-3, 2), "-3/2", "-3/2*z1", "z1 - 3/2*z2"),
+    (IMAG, "i", "i*z1", "z1 + i*z2"),
+    (-IMAG, "-i", "-i*z1", "z1 - i*z2"),
+    (2 * IMAG, "2*i", "2*i*z1", "z1 + 2*i*z2"),
+    (Fraction(-3, 2) * IMAG, "-3/2*i", "-3/2*i*z1", "z1 - 3/2*i*z2"),
+    (GaussianRational(1, 1), "(1+i)", "(1+i)*z1", "z1 + (1+i)*z2"),
+    (GaussianRational(-1, 1), "(-1+i)", "(-1+i)*z1", "z1 + (-1+i)*z2"),
+    (GaussianRational(1, -1), "(1-i)", "(1-i)*z1", "z1 + (1-i)*z2"),
+    (_stored_minus_two, "-2", "-2*z1", "z1 - 2*z2"),
+])
+def test_term_signs_in_printed_polynomials(coeff, alone, times_z1, second):
+    space = VarSpace(2)
+    z1, z2 = space.z(1), space.z(2)
+    c = coeff(space) if callable(coeff) else space.const(coeff)
+    if callable(coeff):
+        assert all(type(v) is GaussianRational for v in c._terms.values())
+    assert str(c) == alone
+    assert str(c * z1) == times_z1
+    assert str(z1 + c * z2) == second
 
 
 def test_substitute_and_evaluate():
@@ -340,6 +373,11 @@ def test_json_round_trip():
         Polynomial.from_json({"n": 1, "terms": [
             {"z": [1], "t": [0], "re": "1", "im": "0"},
             {"z": [1], "t": [0], "re": "2", "im": "0"}]})
+    # exponents and the rank go to the constructor's checks, not through int()
+    for n, z in ((1, [1.9]), (1, ["2"]), (1.7, [1]), (True, [1])):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"n": n, "terms": [
+                {"z": z, "t": [0], "re": "1", "im": "0"}]})
 
 
 def test_polynomial_validation_and_immutability():
