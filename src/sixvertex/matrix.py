@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import Immutable, Polynomial, VarSpace
+from .poly import Immutable, Polynomial, VarSpace, _dot
 
 
 class PolyMatrix(Immutable):
@@ -50,18 +50,22 @@ class PolyMatrix(Immutable):
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        zero = self.space.zero()
+        space = self.space
+        if other.space != space:
+            raise ValueError(f"variable space mismatch: {space} vs {other.space}")
+        # row by row (Gustavson 1978): each nonzero self[r][k] pairs with the
+        # nonzero entries of row k of other, and every entry of row r is one
+        # accumulation over its pairs
+        other_rows = [[(c, right) for c, right in enumerate(row) if right]
+                      for row in other.rows]
         out = []
-        for r in range(self.size):
-            row = []
-            for c in range(self.size):
-                acc = zero
-                for k in range(self.size):
-                    left = self.rows[r][k]
-                    if left:
-                        acc = acc + left * other.rows[k][c]
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            pairs = [[] for _ in range(self.size)]
+            for left, right_row in zip(row, other_rows):
+                if left:
+                    for c, right in right_row:
+                        pairs[c].append((left, right))
+            out.append([_dot(space, entry_pairs) for entry_pairs in pairs])
         return PolyMatrix(out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

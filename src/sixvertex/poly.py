@@ -314,6 +314,8 @@ class VarSpace(Immutable):
 
     def _pack(self, mono: Sequence[int]) -> int:
         """Packed monomial of an exponent vector from outside; validates it."""
+        if any(isinstance(e, bool) for e in mono):
+            raise TypeError(f"exponent vector {mono} has a bool exponent")
         exps = [operator.index(e) for e in mono]
         if len(exps) != 2 * self.n or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {mono} for rank {self.n}")
@@ -412,18 +414,7 @@ class Polynomial(Immutable):
         return self._operand(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._operand(other)
-        terms: dict[int, Coefficient] = {}
-        get = terms.get
-        right = list(other._terms.items())
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                mono = m1 + m2
-                terms[mono] = get(mono, 0) + c1 * c2
-        if not all(terms.values()):
-            terms = {m: c for m, c in terms.items() if c}
-        self.space._check_guard(terms)
-        return Polynomial._raw(self.space, terms)
+        return _dot(self.space, ((self, self._operand(other)),))
 
     __rmul__ = __mul__
 
@@ -603,6 +594,28 @@ class Polynomial(Immutable):
 
     def __repr__(self) -> str:
         return f"<Polynomial {self}>"
+
+
+def _dot(space: VarSpace,
+         pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
+
+    Every term product goes into one packed term map.  The guard bits are
+    checked over every product monomial, also one whose coefficient then
+    cancels, and zero coefficients are dropped once at the end.
+    """
+    terms: dict[int, Coefficient] = {}
+    get = terms.get
+    for left, right in pairs:
+        right_terms = right._terms.items()
+        for m1, c1 in left._terms.items():
+            for m2, c2 in right_terms:
+                mono = m1 + m2
+                terms[mono] = get(mono, 0) + c1 * c2
+    space._check_guard(terms)
+    if not all(terms.values()):
+        terms = {m: c for m, c in terms.items() if c}
+    return Polynomial._raw(space, terms)
 
 
 def _accumulate(terms: dict, addend: Mapping, op) -> None:

@@ -1,11 +1,12 @@
 """Tests for polynomial matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import VarSpace
+from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, VarSpace, poly_sum, prod
 
 
 def random_matrix(rng, space, size):
@@ -102,3 +103,75 @@ def test_scalar_value():
     assert off_diag.scalar_value() is None
     unequal = PolyMatrix([[z, space.zero()], [space.zero(), space.one()]])
     assert unequal.scalar_value() is None
+
+
+def test_matmul_refuses_mixed_spaces_whatever_the_entries():
+    for left in (PolyMatrix.zeros(VarSpace(1), 2), PolyMatrix.identity(VarSpace(1), 2)):
+        with pytest.raises(ValueError, match=r"variable space mismatch: "
+                                             r"VarSpace\(1\) vs VarSpace\(2\)"):
+            left @ PolyMatrix.identity(VarSpace(2), 2)
+
+
+COEFFICIENTS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "gaussian": lambda rng: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)),
+}
+
+
+def sparse_poly_matrix(rng, space, size, coefficient):
+    """About 70% zero entries; the others have 1-3 terms of low degree."""
+    def entry():
+        if rng.random() < 0.7:
+            return space.zero()
+        return poly_sum((space.const(coefficient(rng))
+                         * prod((space.z(i, rng.randint(0, 2)) * space.t(i, rng.randint(0, 1))
+                                 for i in range(1, space.n + 1)), space)
+                         for _ in range(rng.randint(1, 3))), space)
+    return PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
+
+
+def textbook_product(a, b):
+    return PolyMatrix([[poly_sum((a[r, k] * b[k, c] for k in range(a.size)), a.space)
+                        for c in range(a.size)] for r in range(a.size)])
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_matmul_matches_the_textbook_sum(kind):
+    rng = random.Random(f"matmul-{kind}")
+    coefficient = COEFFICIENTS[kind]
+    for size in (1, 2, 4, 8):
+        for rank in (0, 1, 2):
+            space = VarSpace(rank)
+            for _ in range(3):
+                a, b, c = (sparse_poly_matrix(rng, space, size, coefficient)
+                           for _ in range(3))
+                assert a @ b == textbook_product(a, b)
+                assert (a @ b) @ c == a @ (b @ c)
+
+
+def test_matmul_entries_that_cancel_are_zero():
+    space = VarSpace(1)
+    x, one, zero = space.z(1), space.one(), space.zero()
+    # the row [x, x] times the column [1, -1]
+    product = PolyMatrix([[x, x], [zero, one]]) @ PolyMatrix([[one, x], [-one, zero]])
+    assert product[0, 0].is_zero() and product[0, 0] == zero
+    assert product == PolyMatrix([[zero, x * x], [-one, zero]])
+    # the row [i*x, x] times the column [i, 1] over the Gaussian rationals
+    i = space.const(IMAG)
+    gaussian = PolyMatrix([[i * x, x], [zero, zero]])
+    square = gaussian @ PolyMatrix([[i, zero], [one, zero]])
+    assert square.is_zero()
+
+
+def test_matmul_keeps_the_exponent_guard():
+    space = VarSpace(1)
+    top = PolyMatrix([[space.z(1, EXPONENT_LIMIT // 2 - 1)]])
+    assert (top @ top)[0, 0] == space.z(1, EXPONENT_LIMIT - 2)
+    half, zero = space.z(1, EXPONENT_LIMIT // 2), space.zero()
+    over = PolyMatrix([[half]])
+    with pytest.raises(OverflowError):
+        over @ over
+    # a product monomial that reaches the limit raises even when it cancels
+    with pytest.raises(OverflowError):
+        PolyMatrix([[half, half], [zero, zero]]) @ PolyMatrix([[half, zero], [-half, zero]])

@@ -374,7 +374,8 @@ def test_json_round_trip():
             {"z": [1], "t": [0], "re": "1", "im": "0"},
             {"z": [1], "t": [0], "re": "2", "im": "0"}]})
     # exponents and the rank go to the constructor's checks, not through int()
-    for n, z in ((1, [1.9]), (1, ["2"]), (1.7, [1]), (True, [1])):
+    for n, z in ((1, [1.9]), (1, ["2"]), (1.7, [1]), (True, [1]), (1, [True]),
+                 (1, [False])):
         with pytest.raises(TypeError):
             Polynomial.from_json({"n": n, "terms": [
                 {"z": z, "t": [0], "re": "1", "im": "0"}]})
@@ -386,6 +387,10 @@ def test_polynomial_validation_and_immutability():
         Polynomial(space, {(1,): ONE})
     with pytest.raises(ValueError):
         Polynomial(space, {(-1, 0): ONE})
+    # a bool is not an exponent, as it is not a rank
+    for mono in ((True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            Polynomial(space, {mono: ONE})
     p = space.z(1)
     with pytest.raises(AttributeError):
         p.space = VarSpace(2)
