@@ -62,13 +62,14 @@ def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
 class BoundarySpec(Immutable):
     """Boundary data: ice kind plus partition, with derived grid geometry."""
 
-    __slots__ = ("kind", "lam", "n", "m")
+    __slots__ = ("kind", "lam", "n", "m", "_top_spins")
 
     def __init__(self, kind: IceKind, lam: Sequence[int]):
         object.__setattr__(self, "kind", IceKind(kind))
         object.__setattr__(self, "lam", validate_partition(lam))
         object.__setattr__(self, "n", len(self.lam))
         object.__setattr__(self, "m", (self.lam[0] if self.lam else 0) + self.n)
+        object.__setattr__(self, "_top_spins", _row_spins(self, self.top_row()))
 
     @property
     def column_labels(self) -> tuple[int, ...]:
@@ -79,7 +80,7 @@ class BoundarySpec(Immutable):
         return tuple(p + self.n - 1 - i for i, p in enumerate(self.lam))
 
     def top_row_spins(self) -> tuple[int, ...]:
-        return _row_spins(self, self.top_row())
+        return self._top_spins
 
     @property
     def left_spin(self) -> int:
@@ -394,9 +395,12 @@ def gt_to_state(g: GTPattern, b: BoundarySpec) -> LatticeState:
 
 
 def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
-    """Spins of one row of vertical edges: - at the labels in `row`."""
-    minus = frozenset(row)
-    return tuple(-1 if label in minus else 1 for label in b.column_labels)
+    """Spins of one row of vertical edges: - at the labels in `row`, label l
+    at index m - 1 - l."""
+    spins = [1] * b.m
+    for label in row:
+        spins[b.m - 1 - label] = -1
+    return tuple(spins)
 
 
 def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...]) -> LatticeState:

@@ -8,9 +8,10 @@ coefficient of basis vector r in the image of basis vector c.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
-from .poly import Immutable, Polynomial, VarSpace, _dot
+from .poly import Immutable, Polynomial, VarSpace, _check_space, _dot
 
 
 class PolyMatrix(Immutable):
@@ -24,10 +25,7 @@ class PolyMatrix(Immutable):
         if size == 0 or any(len(row) != size for row in rows):
             raise ValueError("matrix must be square and non-empty")
         space = rows[0][0].space
-        for row in rows:
-            for entry in row:
-                if entry.space != space:
-                    raise ValueError("matrix entries span multiple variable spaces")
+        _check_space(space, chain.from_iterable(rows))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "rows", rows)
@@ -51,8 +49,7 @@ class PolyMatrix(Immutable):
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
         space = self.space
-        if other.space != space:
-            raise ValueError(f"variable space mismatch: {space} vs {other.space}")
+        _check_space(space, (other,))
         # row by row (Gustavson 1978): each nonzero self[r][k] pairs with the
         # nonzero entries of row k of other, and every entry of row r is one
         # accumulation over its pairs

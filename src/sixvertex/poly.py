@@ -240,36 +240,42 @@ def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
     return (coeff.re, coeff.im) if type(coeff) is GaussianRational else (coeff, 0)
 
 
-class VarSpace(Immutable):
-    """The rank: polynomials over z_1..z_n, t_1..t_n share one VarSpace.
+_SPACES: dict[int, "VarSpace"] = {}  # the one VarSpace of each rank
 
-    It also holds the constants of the packed monomial layout for its rank.
-    """
+
+def _check_space(space: VarSpace, values: Iterable) -> None:
+    """The one rule for values that must share ``space``: the same object."""
+    for value in values:
+        if value.space is not space:
+            raise ValueError(f"variable space mismatch: {space} vs {value.space}")
+
+
+class VarSpace(Immutable):
+    """The rank n: every polynomial over z_1..z_n, t_1..t_n holds the one
+    ``VarSpace(n)``, which also holds the constants of the packed monomial layout."""
 
     __slots__ = ("n", "_shift", "_guard", "_fields")
 
-    def __init__(self, n: int):
+    def __new__(cls, n: int) -> "VarSpace":
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"rank must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"rank must be non-negative, got {n}")
+        if n in _SPACES:
+            return _SPACES[n]
         width = 2 * n
-        object.__setattr__(self, "n", n)
+        space = object.__new__(cls)
+        object.__setattr__(space, "n", n)
         # the total degree sits above the 2n exponent fields
-        object.__setattr__(self, "_shift", width * FIELD_BITS)
-        object.__setattr__(self, "_guard", sum(EXPONENT_LIMIT << (FIELD_BITS * k)
-                                               for k in range(width)))
-        object.__setattr__(self, "_fields", struct.Struct(f">{width}{_FIELD_FORMAT}"))
+        object.__setattr__(space, "_shift", width * FIELD_BITS)
+        object.__setattr__(space, "_guard", sum(EXPONENT_LIMIT << (FIELD_BITS * k)
+                                                for k in range(width)))
+        object.__setattr__(space, "_fields", struct.Struct(f">{width}{_FIELD_FORMAT}"))
+        return _SPACES.setdefault(n, space)  # of two racing threads, the first wins
 
     def __reduce__(self):
-        # a struct.Struct does not pickle; the rank rebuilds every slot
+        # pickle and copy call VarSpace(n), which returns the registered object
         return VarSpace, (self.n,)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarSpace) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("VarSpace", self.n))
 
     def __repr__(self) -> str:
         return f"VarSpace({self.n})"
@@ -389,8 +395,7 @@ class Polynomial(Immutable):
         """``other`` as a polynomial of this space: a scalar becomes a constant."""
         if not isinstance(other, Polynomial):
             return self.space.const(other)
-        if other.space != self.space:
-            raise ValueError(f"variable space mismatch: {self.space} vs {other.space}")
+        _check_space(self.space, (other,))
         return other
 
     def __add__(self, other) -> "Polynomial":
@@ -431,13 +436,17 @@ class Polynomial(Immutable):
             other = self.space.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.space == other.space and self._terms == other._terms
+        try:
+            _check_space(self.space, (other,))
+        except ValueError:
+            return False
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # a constant equals, so must hash like, its coefficient
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.space, frozenset(self._terms.items())))
+        return hash((self.n, frozenset(self._terms.items())))
 
     def leading(self) -> tuple[Monomial, GaussianRational]:
         if not self._terms:
@@ -679,10 +688,8 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
     found: VarSpace | None = None
     terms: dict[int, Coefficient] = {}
     for p in addends:
-        if found is None:
-            found = p.space
-        elif p.space != found:
-            raise ValueError(f"variable space mismatch: {found} vs {p.space}")
+        found = found or p.space
+        _check_space(found, (p,))
         _accumulate(terms, p._terms, operator.add)
     if found is None:
         if space is None:

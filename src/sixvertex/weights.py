@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 from .matrix import PolyMatrix
-from .poly import GaussianRational, IMAG, Immutable, Polynomial, VarSpace
+from .poly import GaussianRational, IMAG, Immutable, Polynomial, VarSpace, _check_space
 
 
 class IceKind(str, enum.Enum):
@@ -43,10 +43,7 @@ class VertexWeights(Immutable):
 
     def __init__(self, a1, a2, b1, b2, c1, c2, d1, d2):
         values = (a1, a2, b1, b2, c1, c2, d1, d2)
-        space = a1.space
-        for v in values:
-            if v.space != space:
-                raise ValueError("weights span multiple variable spaces")
+        _check_space(a1.space, values)
         if c1.is_zero() and c2.is_zero() and not d1.is_zero() and not d2.is_zero():
             kind = "D"
         elif d1.is_zero() and d2.is_zero() and not c1.is_zero() and not c2.is_zero():
@@ -116,6 +113,7 @@ def r_weights_params(x: IceKind, y: IceKind,
                      za: Polynomial, ta: Polynomial,
                      zb: Polynomial, tb: Polynomial) -> VertexWeights:
     """R-matrix weights for the (x, y) family at parameter pairs (za, ta), (zb, tb)."""
+    x, y = IceKind(x), IceKind(y)
     if x == IceKind.GAMMA and y == IceKind.GAMMA:
         return VertexWeights.type_c(
             zb + tb * za, za + ta * zb,
@@ -145,7 +143,7 @@ def r_weights(space: VarSpace, x: IceKind, y: IceKind, i: int, j: int) -> Vertex
 
 
 def ice_weights(space: VarSpace, kind: IceKind, i: int) -> VertexWeights:
-    return gamma(space, i) if kind == IceKind.GAMMA else delta(space, i)
+    return gamma(space, i) if IceKind(kind) == IceKind.GAMMA else delta(space, i)
 
 
 def free_fermion(w: VertexWeights) -> Polynomial:
@@ -197,14 +195,13 @@ def invariants_match(s: VertexWeights, t: VertexWeights) -> tuple[Polynomial, Po
 def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
     """The group law: weights s with pi_map(s) = pi_map(r) @ pi_map(t).
 
-    Both factors must be free-fermionic with a1 a2 + b1 b2 != 0.  The result
-    type follows the index-two pattern C.C -> C, C.D -> D, D.C -> D, D.D -> C.
+    Both factors must be free-fermionic, so a1 a2 + b1 b2 = c1 c2 (type C)
+    or d1 d2 (type D), which VertexWeights keeps nonzero in an integral
+    domain.  The type follows the pattern C.C -> C, C.D -> D, D.C -> D, D.D -> C.
     """
     for w in (r, t):
         if not free_fermion(w).is_zero():
             raise ValueError("compose requires free-fermionic weights")
-        if (w.a1 * w.a2 + w.b1 * w.b2).is_zero():
-            raise ValueError("compose requires a1 a2 + b1 b2 != 0")
     if r.kind == "C" and t.kind == "C":
         return VertexWeights.type_c(
             r.a1 * t.a1 - r.b2 * t.b1,

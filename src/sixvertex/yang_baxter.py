@@ -16,7 +16,7 @@ import itertools
 from typing import Callable
 
 from .matrix import PolyMatrix
-from .poly import ONE, ZERO, GaussianRational, Polynomial, VarSpace
+from .poly import ONE, ZERO, GaussianRational, Polynomial, VarSpace, _check_space
 from .weights import (IceKind, VertexWeights, ice_weights, r_weights,
                       r_weights_params)
 
@@ -183,8 +183,7 @@ def r_solution_space(s: VertexWeights, t: VertexWeights,
     that no admissible R exists.
     """
     space = s.space
-    if t.space != space:
-        raise ValueError("S and T span different variable spaces")
+    _check_space(space, (t,))
     s2, t2 = s.end2(), t.end2()
     zero, one = space.zero(), space.one()
     columns = []

@@ -133,6 +133,27 @@ def test_verify_transfer_commute_rejects_zero_cols(capsys):
     assert err == "error: --cols must be at least 1\n"
 
 
+def test_group_law_reports_a_compose_failure_as_a_fail(capsys, monkeypatch):
+    # with two samples, the pi-homomorphism and free-fermion loops make
+    # 4 * 2 compose calls; every later one, in the associativity loop, fails
+    real, calls = checks.compose, []
+
+    def failing(r, t):
+        calls.append((r, t))
+        if len(calls) > 8:
+            raise ValueError("compose failed")
+        return real(r, t)
+
+    monkeypatch.setattr(checks, "compose", failing)
+    code, out, err = run_cli(capsys, "verify", "group-law", "--samples", "2")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert ('FAIL group-law associativity samples=2 seed=0 witness={"error": "compose failed"}'
+            in lines)
+    assert lines[-1] == "8/9 checks passed"
+    assert len(calls) == 8 + 2
+
+
 def _refuse_draws(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sample was drawn")

@@ -14,6 +14,7 @@ from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
 from sixvertex.weights import (IceKind, VertexWeights, compose, gamma, pi_map,
                                random_free_fermionic)
+from sixvertex.yang_baxter import r_solution_space
 
 
 def random_coeff(rng, with_imag=False):
@@ -160,6 +161,55 @@ def test_varspace_guards():
     assert VarSpace(0).one().is_constant()
     with pytest.raises(AttributeError):
         space.n = 5
+
+
+def test_one_varspace_object_per_rank():
+    space = VarSpace(3)
+    assert VarSpace(3) is space
+    for clone in (pickle.loads(pickle.dumps(space)), copy.copy(space),
+                  copy.deepcopy(space)):
+        assert clone is space
+    for poly in (pickle.loads(pickle.dumps(space.z(1))), copy.deepcopy(space.z(1))):
+        assert poly.space is space
+
+
+def test_rank_is_validated_before_the_registry_lookup():
+    # True == 1 and 2.0 == 2 would find the registered spaces of rank 1 and 2
+    VarSpace(1), VarSpace(2)
+    for rank in (True, 2.0):
+        with pytest.raises(TypeError, match="rank must be an int"):
+            VarSpace(rank)
+    with pytest.raises(ValueError, match="rank must be non-negative"):
+        VarSpace(-1)
+
+
+def mixed_space_builds():
+    """A value or operation of each layer given rank-1 and rank-2 operands."""
+    one, two = VarSpace(1), VarSpace(2)
+    return [
+        pytest.param(lambda: one.z(1) + two.z(1), id="Polynomial"),
+        pytest.param(lambda: poly_sum([one.z(1), two.z(1)]), id="poly_sum"),
+        pytest.param(lambda: PolyMatrix([[one.one(), one.one()], [one.one(), two.one()]]),
+                     id="PolyMatrix"),
+        pytest.param(lambda: PolyMatrix.identity(one, 2) @ PolyMatrix.identity(two, 2),
+                     id="matmul"),
+        pytest.param(lambda: VertexWeights.type_c(*[one.one()] * 5, two.one()),
+                     id="VertexWeights"),
+        pytest.param(lambda: r_solution_space(gamma(one, 1), gamma(two, 1)),
+                     id="r_solution_space"),
+    ]
+
+
+@pytest.mark.parametrize("build", mixed_space_builds())
+def test_every_space_check_gives_one_mismatch_message(build):
+    with pytest.raises(ValueError, match=r"^variable space mismatch: "
+                                         r"VarSpace\(1\) vs VarSpace\(2\)$"):
+        build()
+
+
+def test_polynomials_of_different_spaces_are_unequal():
+    assert VarSpace(1).one() != VarSpace(2).one()
+    assert VarSpace(1).zero() != VarSpace(0).zero()
 
 
 def test_ring_axioms_on_random_samples():

@@ -45,6 +45,21 @@ def test_delta_weight_table():
     assert ice_weights(space, IceKind.DELTA, 1) == delta(space, 1)
 
 
+def test_unknown_ice_kinds_are_refused():
+    space = VarSpace(2)
+    with pytest.raises(ValueError, match="'bogus' is not a valid IceKind"):
+        ice_weights(space, "bogus", 1)
+    with pytest.raises(ValueError, match="'nope' is not a valid IceKind"):
+        r_weights(space, IceKind.GAMMA, "nope", 1, 2)
+    with pytest.raises(ValueError, match="'nope' is not a valid IceKind"):
+        r_weights_params("nope", IceKind.DELTA, space.z(1), space.t(1),
+                         space.z(2), space.t(2))
+    assert ice_weights(space, "gamma", 1) == gamma(space, 1)
+    assert ice_weights(space, "delta", 1) == delta(space, 1)
+    assert (r_weights(space, "gamma", "delta", 1, 2)
+            == r_weights(space, IceKind.GAMMA, IceKind.DELTA, 1, 2))
+
+
 def test_classification_rejects_mixed_weights():
     space = VarSpace(1)
     one, zero = space.one(), space.zero()
@@ -120,16 +135,11 @@ def test_compose_kind_table():
 
 def test_compose_associativity_samples():
     rng = random.Random(2)
-    done = 0
-    while done < 20:
+    for _ in range(20):
         triple = [random_free_fermionic(rng.choice("CD"), rng) for _ in range(3)]
-        try:
-            left = compose(compose(triple[0], triple[1]), triple[2])
-            right = compose(triple[0], compose(triple[1], triple[2]))
-        except ValueError:
-            continue
+        left = compose(compose(triple[0], triple[1]), triple[2])
+        right = compose(triple[0], compose(triple[1], triple[2]))
         assert left == right
-        done += 1
 
 
 def test_compose_rejects_non_free_fermionic_inputs():
