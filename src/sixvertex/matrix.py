@@ -52,9 +52,10 @@ class PolyMatrix(Immutable):
         _check_space(space, (other,))
         # row by row (Gustavson 1978): each nonzero self[r][k] pairs with the
         # nonzero entries of row k of other, and every entry of row r is one
-        # accumulation over its pairs
+        # accumulation over its pairs, or the one zero when it has none
         other_rows = [[(c, right) for c, right in enumerate(row) if right]
                       for row in other.rows]
+        zero = space.zero()
         out = []
         for row in self.rows:
             pairs = [[] for _ in range(self.size)]
@@ -62,7 +63,8 @@ class PolyMatrix(Immutable):
                 if left:
                     for c, right in right_row:
                         pairs[c].append((left, right))
-            out.append([_dot(space, entry_pairs) for entry_pairs in pairs])
+            out.append([_dot(space, entry_pairs) if entry_pairs else zero
+                        for entry_pairs in pairs])
         return PolyMatrix(out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -101,9 +101,11 @@ def _scalar_operator(method):
     """
     @functools.wraps(method)
     def operate(self, other):
-        if not isinstance(other, (GaussianRational, numbers.Number, str)):
-            return NotImplemented
-        return method(self, GaussianRational.coerce(other))
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (numbers.Number, str)):
+                return NotImplemented
+            other = GaussianRational(other)
+        return method(self, other)
     return operate
 
 
@@ -149,10 +151,15 @@ class GaussianRational(Immutable):
 
     @_scalar_operator
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
+        # as many rational products as the factors' nonzero parts need
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return GaussianRational(a * c, a * d) if d else GaussianRational(a * c)
+        if not d:
+            return GaussianRational(a * c, b * c)
+        if not a and not c:
+            return GaussianRational(-b * d)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -401,7 +408,7 @@ class Polynomial(Immutable):
     def __add__(self, other) -> "Polynomial":
         other = self._operand(other)
         terms = dict(self._terms)
-        _accumulate(terms, other._terms, operator.add)
+        _accumulate(terms, other._terms)
         return Polynomial._raw(self.space, terms)
 
     __radd__ = __add__
@@ -412,7 +419,7 @@ class Polynomial(Immutable):
     def __sub__(self, other) -> "Polynomial":
         other = self._operand(other)
         terms = dict(self._terms)
-        _accumulate(terms, other._terms, operator.sub)
+        _accumulate(terms, other._terms, subtract=True)
         return Polynomial._raw(self.space, terms)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -523,7 +530,8 @@ class Polynomial(Immutable):
                 for _ in range(e):
                     scale = scale * val
                 mono -= (e << offset) + (e << shift)
-            _accumulate(terms, {mono: scale}, operator.add)
+            if scale:
+                _accumulate(terms, {mono: scale})
         return Polynomial._raw(space, terms)
 
     def evaluate(self, zs: Sequence[object], ts: Sequence[object]) -> GaussianRational:
@@ -609,9 +617,10 @@ def _dot(space: VarSpace,
          pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
 
-    Every term product goes into one packed term map.  The guard bits are
-    checked over every product monomial, also one whose coefficient then
-    cancels, and zero coefficients are dropped once at the end.
+    Every term product goes into one packed term map: a monomial seen for
+    the first time stores its product as it is, and only a repeated one adds.
+    The guard bits are checked over every product monomial, also one whose
+    coefficient then cancels, and zero coefficients are dropped once at the end.
     """
     terms: dict[int, Coefficient] = {}
     get = terms.get
@@ -620,22 +629,33 @@ def _dot(space: VarSpace,
         for m1, c1 in left._terms.items():
             for m2, c2 in right_terms:
                 mono = m1 + m2
-                terms[mono] = get(mono, 0) + c1 * c2
+                acc = get(mono)
+                terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
     space._check_guard(terms)
     if not all(terms.values()):
         terms = {m: c for m, c in terms.items() if c}
     return Polynomial._raw(space, terms)
 
 
-def _accumulate(terms: dict, addend: Mapping, op) -> None:
-    """Fold `addend` into `terms` in place, term by term with `op`; drops zeros."""
-    get, pop = terms.get, terms.pop
+def _accumulate(terms: dict, addend: Mapping, subtract: bool = False) -> None:
+    """Add `addend` into `terms` in place, or subtract it; drops zeros.
+
+    Neither map holds a zero coefficient.  A monomial new to `terms` takes
+    the addend's coefficient, negated when subtracting, so only a monomial
+    in both maps costs an addition.
+    """
+    op = operator.sub if subtract else operator.add
+    get = terms.get
     for mono, coeff in addend.items():
-        acc = op(get(mono, 0), coeff)
-        if acc:
-            terms[mono] = acc
+        acc = get(mono)
+        if acc is None:
+            terms[mono] = -coeff if subtract else coeff
         else:
-            pop(mono, None)
+            acc = op(acc, coeff)
+            if acc:
+                terms[mono] = acc
+            else:
+                del terms[mono]
 
 
 def _mono_str(mono: Monomial, n: int) -> str:
@@ -690,7 +710,7 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
     for p in addends:
         found = found or p.space
         _check_space(found, (p,))
-        _accumulate(terms, p._terms, operator.add)
+        _accumulate(terms, p._terms)
     if found is None:
         if space is None:
             raise ValueError("empty sum with no variable space")

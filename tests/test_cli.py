@@ -273,3 +273,10 @@ def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "zfun", "--kind", "gamma", "--lambda", "5,0")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("method", ["bialternant", "pattern"])
+def test_exponent_overflow_is_a_guard_violation(capsys, method):
+    code, out, err = run_cli(capsys, "schur", "--lambda", "40000", "--method", method)
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 40000 is at or above the limit 32768\n"

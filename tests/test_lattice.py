@@ -13,7 +13,7 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                                state_to_gt, state_weight, tokuyama_sum,
                                transfer_matrix, validate_partition)
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import VarSpace, poly_sum, prod
+from sixvertex.poly import Polynomial, VarSpace, poly_sum, prod
 from sixvertex.schur import schur_bialternant
 from sixvertex.weights import IceKind, delta, gamma, ice_weights
 
@@ -165,28 +165,38 @@ def test_gt_patterns_keep_the_descending_lex_order():
 
 
 def pattern_monomial(space, rows):
-    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern."""
+    """prod_k z_k^(d_k - d_{k+1}) for the row sums d_k of a pattern, as one term."""
     sums = [sum(row) for row in rows] + [0]
-    return prod((space.z(k + 1, sums[k] - sums[k + 1]) for k in range(space.n)),
-                space)
+    z_exps = tuple(sums[k] - sums[k + 1] for k in range(space.n))
+    return Polynomial(space, {z_exps + (0,) * space.n: 1})
 
 
 def reference_tokuyama_sum(lam, per_row_t):
-    """tokuyama_sum one pattern at a time, with no memo over GT rows."""
+    """tokuyama_sum one pattern at a time, with no memo over GT rows.
+
+    Each pattern row below the top multiplies in t^a (t+1)^b at once, where
+    a counts its entries equal to their upper-left neighbor (a factor t) and
+    b those equal to neither upper neighbor (a factor t + 1).
+    """
     n = len(lam)
     space = VarSpace(n)
     top = tuple(p + n - 1 - i for i, p in enumerate(lam))
 
+    def t_factor(j, a, b):
+        t_index = j if per_row_t else 1
+        return space.t(t_index, a) * (space.t(t_index) + 1) ** b
+
+    # row j has n - j entries, which bound a + b
+    factors = {(j, a, b): t_factor(j, a, b) for j in range(1, n)
+               for a in range(n - j + 1) for b in range(n - j + 1 - a)}
+
     def term(rows):
         out = pattern_monomial(space, rows)
         for j in range(1, n):
-            t_var = space.t(j if per_row_t else 1)
             above, row = rows[j - 1], rows[j]
-            for p, entry in enumerate(row):
-                if entry == above[p]:
-                    out = out * t_var
-                elif entry != above[p + 1]:
-                    out = out * (t_var + space.one())
+            a = sum(entry == above[p] for p, entry in enumerate(row))
+            b = sum(entry not in (above[p], above[p + 1]) for p, entry in enumerate(row))
+            out = out * factors[j, a, b]
         return out
 
     return poly_sum(map(term, gt_patterns(top, strict=True)), space)

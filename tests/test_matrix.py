@@ -150,6 +150,26 @@ def test_matmul_matches_the_textbook_sum(kind):
                 assert (a @ b) @ c == a @ (b @ c)
 
 
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_matmul_entries_with_no_pairs_are_zeros_of_the_space(kind):
+    rng = random.Random(f"empty-{kind}")
+    coefficient = COEFFICIENTS[kind]
+    space = VarSpace(2)
+    empty_entries = 0
+    for size in (2, 4, 8):
+        for _ in range(3):
+            a, b = (sparse_poly_matrix(rng, space, size, coefficient) for _ in range(2))
+            product = a @ b
+            assert product == textbook_product(a, b)
+            for r in range(size):
+                for c in range(size):
+                    if not any(a[r, k] and b[k, c] for k in range(size)):
+                        empty_entries += 1
+                        assert product[r, c].is_zero()
+                        assert product[r, c].space is space
+    assert empty_entries > 0
+
+
 def test_matmul_entries_that_cancel_are_zero():
     space = VarSpace(1)
     x, one, zero = space.z(1), space.one(), space.zero()

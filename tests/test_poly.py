@@ -244,6 +244,62 @@ def test_poly_sum_matches_repeated_addition():
         poly_sum([space.one(), VarSpace(1).one()])
 
 
+def test_subtraction_negates_the_monomials_only_the_right_side_has():
+    space = VarSpace(1)
+    z, t, i = space.z(1), space.t(1), space.const(IMAG)
+    p = 2 * z + 3
+    q = z + Fraction(1, 2) * t - i * z * t  # t and z*t are new to p
+    difference = Polynomial(space, {(1, 0): 1, (0, 0): 3, (0, 1): Fraction(-1, 2),
+                                    (1, 1): IMAG})
+    assert p - q == difference
+    assert q - p == -difference
+    assert poly_sum([p, -q]) == difference
+    assert poly_sum([p, q]) == Polynomial(space, {(1, 0): 3, (0, 0): 3,
+                                                  (0, 1): Fraction(1, 2), (1, 1): -IMAG})
+    assert space.zero() - q == -q
+    assert 1 - q == Polynomial(space, {(0, 0): 1, (1, 0): -1, (0, 1): Fraction(-1, 2),
+                                       (1, 1): IMAG})
+
+
+def term_map_oracle(p, q, sign):
+    """p + sign*q, summed coefficient by coefficient over the public terms."""
+    terms = dict(p.terms())
+    for mono, coeff in q.terms():
+        terms[mono] = terms.get(mono, ZERO) + sign * coeff
+    return Polynomial(p.space, terms)
+
+
+def test_sums_and_differences_match_a_term_map_oracle():
+    rng = random.Random(5)
+    space = VarSpace(2)
+    for _ in range(40):
+        p = random_poly(rng, space, with_imag=rng.random() < 0.5)
+        q = random_poly(rng, space, max_terms=6, with_imag=rng.random() < 0.5)
+        assert p - q == term_map_oracle(p, q, -1)
+        assert p + q == term_map_oracle(p, q, 1)
+        assert poly_sum([p, q]) == term_map_oracle(p, q, 1)
+        assert all(c for _, c in (p - q).terms())
+
+
+def test_products_whose_terms_cancel():
+    space = VarSpace(1)
+    z, t, i = space.z(1), space.t(1), space.const(IMAG)
+    assert ((z + t) * (z - t)).terms() == [((2, 0), ONE), ((0, 2), -ONE)]
+    assert (z + i * t) * (z - i * t) == Polynomial(space, {(2, 0): 1, (0, 2): 1})
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert ((half * z + third) * (half * z - third)).terms() == [
+        ((2, 0), GaussianRational(Fraction(1, 4))), ((0, 0), GaussianRational(Fraction(-1, 9)))]
+    # one monomial stored, cancelled to zero, then stored again
+    zero = space.zero()
+    row = PolyMatrix([[z, z, z], [zero] * 3, [zero] * 3])
+    column = PolyMatrix([[z, zero, zero], [-z, zero, zero], [z, zero, zero]])
+    assert (row @ column)[0, 0] == z * z
+    four = PolyMatrix([[z, z, z, z]] + [[zero] * 4] * 3)
+    alternating = PolyMatrix([[sign * z, zero, zero, zero] for sign in (1, -1, 1, -1)])
+    square = four @ alternating
+    assert square.is_zero()
+
+
 def test_prod_empty_and_space_mismatch():
     space = VarSpace(1)
     assert prod([], space) == space.one()

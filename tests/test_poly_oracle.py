@@ -5,6 +5,7 @@ arithmetic, ``exact_div``, ``evaluate``, JSON), so they hold for any term
 representation behind it.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = rationals.filter(bool)
 
 
 @st.composite
@@ -130,6 +132,36 @@ def test_permute_rank_variables_is_a_group_action(data):
     square = p * p
     assert (square.permute_rank_variables(sigma)
             == p.permute_rank_variables(sigma) ** 2)
+
+
+SHAPES = ("real", "imaginary", "complex")
+
+
+@st.composite
+def gaussian_operands(draw, shape):
+    """(re, im, operand) for a value of the given shape; a real value also
+    comes as an int, a Fraction or a string."""
+    re = (Fraction(0) if shape == "imaginary"
+          else draw(rationals if shape == "real" else nonzero_rationals))
+    im = Fraction(0) if shape == "real" else draw(nonzero_rationals)
+    forms = [GaussianRational(re, im)]
+    if shape == "real":
+        forms += [re, str(re)] + ([re.numerator] if re.denominator == 1 else [])
+    return re, im, draw(st.sampled_from(forms))
+
+
+@pytest.mark.parametrize("shapes", itertools.product(SHAPES, repeat=2),
+                         ids="-".join)
+@SETTINGS
+@given(data=st.data())
+def test_gaussian_products_match_the_four_product_formula(shapes, data):
+    a, b, left = data.draw(gaussian_operands(shapes[0]))
+    c, d, right = data.draw(gaussian_operands(shapes[1]))
+    if not isinstance(right, GaussianRational):
+        right = GaussianRational(right)  # one operand must be Gaussian
+    for product in (left * right, right * left):
+        assert isinstance(product, GaussianRational)
+        assert (product.re, product.im) == (a * c - b * d, a * d + b * c)
 
 
 # -- sympy as an independent oracle ---------------------------------------
