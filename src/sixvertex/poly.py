@@ -250,6 +250,12 @@ def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
 _SPACES: dict[int, "VarSpace"] = {}  # the one VarSpace of each rank
 
 
+def _check_exponent(power: object) -> None:
+    """Refuse a power that is not an int, a bool included, before its sign and size."""
+    if not isinstance(power, int) or isinstance(power, bool):
+        raise TypeError(f"exponent must be an int, got {power!r}")
+
+
 def _check_space(space: VarSpace, values: Iterable) -> None:
     """The one rule for values that must share ``space``: the same object."""
     for value in values:
@@ -305,6 +311,7 @@ class VarSpace(Immutable):
 
     def _var(self, index: int, block: int, power: int) -> "Polynomial":
         offset = self._offset(index, block)
+        _check_exponent(power)
         if power < 0:
             raise ValueError("negative exponent")
         if power == 0:
@@ -431,6 +438,7 @@ class Polynomial(Immutable):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        _check_exponent(exponent)
         if exponent < 0:
             raise ValueError("negative exponent")
         result = self.space.one()
@@ -688,10 +696,18 @@ def _term_str(coeff: Coefficient, body: str) -> tuple[str, bool]:
 
 
 def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:
-    """Product of an iterable of polynomials; empty product needs a space."""
+    """Product of an iterable of polynomials; empty product needs a space.
+
+    A given space must be the factors' own: the first factor is checked
+    against it, and each product checks the next factor against the first.
+    """
     result: Polynomial | None = None
     for f in factors:
-        result = f if result is None else result * f
+        if result is None:
+            _check_space(space or f.space, (f,))
+            result = f
+        else:
+            result = result * f
     if result is None:
         if space is None:
             raise ValueError("empty product with no variable space")
@@ -703,16 +719,14 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
     """Sum of an iterable of polynomials in one accumulation pass.
 
     Equivalent to repeated ``+`` but linear in the total number of terms;
-    an empty sum needs a space.
+    an empty sum needs a space, and a given space must be the addends' own.
     """
-    found: VarSpace | None = None
+    found: VarSpace | None = space
     terms: dict[int, Coefficient] = {}
     for p in addends:
         found = found or p.space
         _check_space(found, (p,))
         _accumulate(terms, p._terms)
     if found is None:
-        if space is None:
-            raise ValueError("empty sum with no variable space")
-        return space.zero()
+        raise ValueError("empty sum with no variable space")
     return Polynomial._raw(found, terms)

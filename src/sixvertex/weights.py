@@ -172,8 +172,10 @@ def delta_invariants(w: VertexWeights) -> tuple[tuple[Polynomial, Polynomial],
                                                 tuple[Polynomial, Polynomial]]:
     """The two anisotropy invariants of a type-C system, as unreduced ratios.
 
-    Returns ((num, 2*a1*b1), (num, 2*a2*b2)) with num = a1 a2 + b1 b2 - c1 c2.
-    Ratios stay unreduced; compare them by cross-multiplication.
+    Returns ((num, 2*a1*b1), (num, 2*a2*b2)) with num = a1 a2 + b1 b2 - c1 c2,
+    the free-fermion residual of a type-C system, so Delta = 0 is the
+    free-fermion locus.  Ratios stay unreduced; compare them by
+    cross-multiplication.
     """
     if w.kind != "C":
         raise ValueError("invariants are defined for type-C weights")
@@ -181,7 +183,7 @@ def delta_invariants(w: VertexWeights) -> tuple[tuple[Polynomial, Polynomial],
     den2 = 2 * (w.a2 * w.b2)
     if den1.is_zero() or den2.is_zero():
         raise ZeroDivisionError("invariant denominator vanishes")
-    num = w.a1 * w.a2 + w.b1 * w.b2 - w.c1 * w.c2
+    num = free_fermion(w)
     return (num, den1), (num, den2)
 
 
@@ -279,9 +281,18 @@ def solve_R_from_ST(s: VertexWeights, t: VertexWeights) -> VertexWeights:
         s.c2 * t.c1)
 
 
-def _random_nonzero(rng: random.Random, space: VarSpace) -> Polynomial:
-    num = rng.choice([k for k in range(-9, 10) if k])
-    return space.const(Fraction(num, rng.randint(1, 9)))
+_NUMERATORS = tuple(k for k in range(-9, 10) if k)  # rng.choice indexes this order
+
+
+def _random_nonzero(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9))
+
+
+def _constant_weights(kind: str, values: tuple[Fraction, ...]) -> VertexWeights:
+    """Rank-0 weights of kind "C" or "D" from the numbers in their six live slots."""
+    space = VarSpace(0)
+    build = VertexWeights.type_c if kind == "C" else VertexWeights.type_d
+    return build(*(space.const(v) for v in values))
 
 
 def random_free_fermionic(kind: str, rng: random.Random) -> VertexWeights:
@@ -292,21 +303,11 @@ def random_free_fermionic(kind: str, rng: random.Random) -> VertexWeights:
     """
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', not {kind!r}")
-    space = VarSpace(0)
     while True:
-        a1, a2, b1, b2, e1 = (_random_nonzero(rng, space) for _ in range(5))
+        a1, a2, b1, b2, e1 = (_random_nonzero(rng) for _ in range(5))
         numerator = a1 * a2 + b1 * b2
-        if numerator.is_zero():
-            continue
-        e2 = numerator.exact_div(e1)
-        if kind == "C":
-            return VertexWeights.type_c(a1, a2, b1, b2, e1, e2)
-        return VertexWeights.type_d(a1, a2, b1, b2, e1, e2)
-
-
-def _random_type_c(rng: random.Random, space: VarSpace) -> VertexWeights:
-    """Random type-C weights with all six slots nonzero; no other relation."""
-    return VertexWeights.type_c(*(_random_nonzero(rng, space) for _ in range(6)))
+        if numerator:
+            return _constant_weights(kind, (a1, a2, b1, b2, e1, numerator / e1))
 
 
 def random_matched_pair(rng: random.Random,
@@ -318,26 +319,24 @@ def random_matched_pair(rng: random.Random,
     invariant pair of t equals that of s; all twelve weights come out
     nonzero.
     """
-    space = VarSpace(0)
     while True:
-        s = _random_type_c(rng, space)
-        (num_s, den1_s), (_, den2_s) = delta_invariants(s)
-        if num_s.is_zero():
+        s_values = tuple(_random_nonzero(rng) for _ in range(6))
+        s_a1, s_a2, s_b1, s_b2, s_c1, s_c2 = s_values
+        num_s = s_a1 * s_a2 + s_b1 * s_b2 - s_c1 * s_c2
+        if not num_s:
             continue
-        a1, a2, b1, c1 = (_random_nonzero(rng, space) for _ in range(4))
+        a1, a2, b1, c1 = (_random_nonzero(rng) for _ in range(4))
         # Delta_1(t) = Delta_1(s) and Delta_2(t) = Delta_2(s) force:
         #   b2 = Delta_1(s) a1 b1 / Delta_2(s) a2
         #   c1 c2 = a1 a2 + b1 b2 - 2 Delta_1(s) a1 b1
-        b2_num = num_s * den2_s * a1 * b1
-        b2_den = num_s * den1_s * a2
-        b2 = space.const(b2_num.constant_value() / b2_den.constant_value())
-        if b2.is_zero():
+        delta1_s = num_s / (2 * s_a1 * s_b1)
+        delta2_s = num_s / (2 * s_a2 * s_b2)
+        b2 = delta1_s * a1 * b1 / (delta2_s * a2)
+        cc = a1 * a2 + b1 * b2 - 2 * delta1_s * a1 * b1
+        if not cc:
             continue
-        cc = a1 * a2 + b1 * b2 - (num_s * a1 * b1).exact_div(den1_s) * space.const(2)
-        if cc.is_zero():
-            continue
-        c2 = cc.exact_div(c1)
-        t = VertexWeights.type_c(a1, a2, b1, b2, c1, c2)
+        s = _constant_weights("C", s_values)
+        t = _constant_weights("C", (a1, a2, b1, b2, c1, cc / c1))
         res1, res2 = invariants_match(s, t)
         if res1.is_zero() and res2.is_zero():
             return s, t
@@ -346,10 +345,9 @@ def random_matched_pair(rng: random.Random,
 def random_mismatched_pair(rng: random.Random,
                            ) -> tuple[VertexWeights, VertexWeights]:
     """Random type-C pair (s, t) whose anisotropy invariants differ."""
-    space = VarSpace(0)
     while True:
-        s = _random_type_c(rng, space)
-        t = _random_type_c(rng, space)
+        s, t = (_constant_weights("C", tuple(_random_nonzero(rng) for _ in range(6)))
+                for _ in range(2))
         res1, res2 = invariants_match(s, t)
         if not (res1.is_zero() and res2.is_zero()):
             return s, t

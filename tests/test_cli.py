@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +283,27 @@ def test_exponent_overflow_is_a_guard_violation(capsys, method):
     code, out, err = run_cli(capsys, "schur", "--lambda", "40000", "--method", method)
     assert (code, out) == (2, "")
     assert err == "error: exponent 40000 is at or above the limit 32768\n"
+
+
+# Run in a fresh interpreter with -S (no site-packages) and -I (no
+# PYTHONPATH, no user site): sixvertex and the standard library are all
+# that can be imported, so a third-party import anywhere on this path fails.
+# -I also drops PYTHONDONTWRITEBYTECODE, so -B keeps src free of bytecode.
+_STDLIB_ONLY = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from sixvertex import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["verify", "triangularity"])
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(code, out.getvalue().splitlines()[-1])
+print(sorted(loaded - set(sys.stdlib_module_names) - {"__main__", "sixvertex"}))
+"""
+
+
+def test_the_runtime_needs_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-S", "-I", "-B", "-c", _STDLIB_ONLY, str(src)]
+    result = subprocess.run(argv, capture_output=True, text=True, check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["0 5/5 checks passed", "[]"]

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,8 @@ def mixed_space_builds():
     return [
         pytest.param(lambda: one.z(1) + two.z(1), id="Polynomial"),
         pytest.param(lambda: poly_sum([one.z(1), two.z(1)]), id="poly_sum"),
+        pytest.param(lambda: poly_sum([two.z(1)], one), id="poly_sum-given-space"),
+        pytest.param(lambda: prod([two.z(1)], one), id="prod-given-space"),
         pytest.param(lambda: PolyMatrix([[one.one(), one.one()], [one.one(), two.one()]]),
                      id="PolyMatrix"),
         pytest.param(lambda: PolyMatrix.identity(one, 2) @ PolyMatrix.identity(two, 2),
@@ -497,6 +500,12 @@ def test_polynomial_validation_and_immutability():
     for mono in ((True, 0), (0, False)):
         with pytest.raises(TypeError):
             Polynomial(space, {mono: ONE})
+    for power in (True, False, 2.0, Fraction(2)):
+        message = re.escape(f"exponent must be an int, got {power!r}")
+        for make in (lambda: space.z(1, power), lambda: space.t(1, power),
+                     lambda: space.z(1) ** power):
+            with pytest.raises(TypeError, match=message):
+                make()
     p = space.z(1)
     with pytest.raises(AttributeError):
         p.space = VarSpace(2)
