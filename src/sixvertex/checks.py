@@ -16,7 +16,7 @@ from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
                       brute_force_states, enumerate_states, gt_row_sums,
                       gt_to_state, partition_function, state_to_gt,
                       state_weight, tokuyama_sum, transfer_matrix)
-from .poly import VarSpace, prod
+from .poly import VarSpace, _require_int, prod
 from .schur import deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
                       random_free_fermionic, random_matched_pair,
@@ -43,16 +43,18 @@ def _partition_grid(max_n: int, max_part: int) -> list[tuple[int, ...]]:
 def _require_count(value: int, name: str, flag: str) -> None:
     """Refuse a count that is not an int (a bool included) or is below 1,
     so that no check runs on zero draws or columns and reports success."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+    _require_int(value, name)
     if value < 1:
         raise ValueError(f"{flag} must be at least 1")
 
 
 def _require_grid(max_n: int, max_part: int) -> None:
-    """Refuse a negative partition grid before it is built."""
+    """Refuse a grid bound that is not an int or is negative, before the
+    grid is built."""
+    _require_int(max_n, "max_n")
     if max_n < 0:
         raise ValueError("--max-n must be at least 0")
+    _require_int(max_part, "max_part")
     if max_part < 0:
         raise ValueError("--max-part must be at least 0")
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 import operator
 import os
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import Immutable, Polynomial, VarSpace, poly_sum, prod
+from .poly import Immutable, Polynomial, VarSpace, _require_int, poly_sum, prod
 from .weights import IceKind, VertexWeights, ice_weights
 
 # Admissible spin patterns (W, N, E, S) and their weight slots; an
@@ -37,6 +37,8 @@ _SLOT_BY_PATTERN = {
 
 _EXCLUDED = {IceKind.GAMMA: ((-1, -1, 1, 1), (1, 1, -1, -1)),
              IceKind.DELTA: ((-1, 1, 1, -1), (1, -1, -1, 1))}
+
+_SPINS = frozenset((1, -1))
 
 _DEFAULT_MAX_STATES = 10_000_000
 
@@ -62,13 +64,16 @@ def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
 class BoundarySpec(Immutable):
     """Boundary data: ice kind plus partition, with derived grid geometry."""
 
-    __slots__ = ("kind", "lam", "n", "m", "_top_spins")
+    __slots__ = ("kind", "lam", "n", "m", "left_spin", "right_spin", "_top_spins")
 
     def __init__(self, kind: IceKind, lam: Sequence[int]):
         object.__setattr__(self, "kind", IceKind(kind))
         object.__setattr__(self, "lam", validate_partition(lam))
         object.__setattr__(self, "n", len(self.lam))
         object.__setattr__(self, "m", (self.lam[0] if self.lam else 0) + self.n)
+        gamma = self.kind is IceKind.GAMMA
+        object.__setattr__(self, "left_spin", 1 if gamma else -1)
+        object.__setattr__(self, "right_spin", -1 if gamma else 1)
         object.__setattr__(self, "_top_spins", _row_spins(self, self.top_row()))
 
     @property
@@ -82,16 +87,9 @@ class BoundarySpec(Immutable):
     def top_row_spins(self) -> tuple[int, ...]:
         return self._top_spins
 
-    @property
-    def left_spin(self) -> int:
-        return 1 if self.kind is IceKind.GAMMA else -1
-
-    @property
-    def right_spin(self) -> int:
-        return -1 if self.kind is IceKind.GAMMA else 1
-
     def row_label(self, r: int) -> int:
         """Variable index for physical row r (0-based from the top)."""
+        _require_int(r, "row")
         if not 0 <= r < self.n:
             raise IndexError(f"row {r} out of range for {self.n} rows")
         return _row_label(self.kind, self.n, r)
@@ -162,19 +160,25 @@ class LatticeState(Immutable):
             raise ValueError(f"vertical grid must be {n + 1} x {m}")
         if len(horizontal) != n or any(len(row) != m + 1 for row in horizontal):
             raise ValueError(f"horizontal grid must be {n} x {m + 1}")
-        for grid in (vertical, horizontal):
-            for row in grid:
+        rows = vertical + horizontal
+        try:
+            valid = _SPINS.issuperset(chain.from_iterable(rows))
+        except TypeError:  # an unhashable spin, such as a list from malformed JSON
+            valid = False
+        if not valid:
+            for row in rows:
                 for spin in row:
                     if spin not in (1, -1):
                         raise ValueError(f"spins must be +1 or -1: {spin!r}")
-        for r in range(n):
-            if horizontal[r][0] != boundary.left_spin:
+        left, right = boundary.left_spin, boundary.right_spin
+        for r, row in enumerate(horizontal):
+            if row[0] != left:
                 raise ValueError(f"left boundary spin wrong in row {r}")
-            if horizontal[r][m] != boundary.right_spin:
+            if row[m] != right:
                 raise ValueError(f"right boundary spin wrong in row {r}")
         if vertical[0] != boundary.top_row_spins():
             raise ValueError("top boundary does not match lambda + rho")
-        if any(spin != 1 for spin in vertical[n]):
+        if vertical[n] != (1,) * m:
             raise ValueError("bottom boundary must be all +")
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
@@ -410,8 +414,9 @@ def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...]) -> Latt
     two vertical spins of the vertex between them.
     """
     vertical = tuple(_row_spins(b, row) for row in rows + ((),))
+    left = b.left_spin
     horizontal = tuple(tuple(accumulate(map(operator.mul, above, below), operator.mul,
-                                        initial=b.left_spin))
+                                        initial=left))
                        for above, below in zip(vertical, vertical[1:]))
     return LatticeState(b, vertical, horizontal)
 
@@ -458,8 +463,7 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     bottom spin b, later columns on the left.  alpha gives the top spins and
     beta the bottom spins, both big-endian with 0 for +.
     """
-    if not isinstance(n_cols, int) or isinstance(n_cols, bool):
-        raise TypeError(f"n_cols must be an int, got {n_cols!r}")
+    _require_int(n_cols, "n_cols")
     if not 1 <= n_cols <= MAX_TRANSFER_COLS:
         raise ValueError(f"n_cols must be between 1 and {MAX_TRANSFER_COLS}, got {n_cols}")
     mat = w.end2() if isinstance(w, VertexWeights) else w

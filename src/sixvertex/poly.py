@@ -250,10 +250,18 @@ def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
 _SPACES: dict[int, "VarSpace"] = {}  # the one VarSpace of each rank
 
 
-def _check_exponent(power: object) -> None:
-    """Refuse a power that is not an int, a bool included, before its sign and size."""
-    if not isinstance(power, int) or isinstance(power, bool):
-        raise TypeError(f"exponent must be an int, got {power!r}")
+def _require_int(value: object, name: str) -> None:
+    """The one rule for an integer argument, such as a rank, an exponent, a
+    variable index or a count: an int, and not a bool, although True == 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _require_exponent(power: object) -> None:
+    """Refuse a power that is not an int, then a negative one, before its size."""
+    _require_int(power, "exponent")
+    if power < 0:
+        raise ValueError("negative exponent")
 
 
 def _check_space(space: VarSpace, values: Iterable) -> None:
@@ -270,8 +278,7 @@ class VarSpace(Immutable):
     __slots__ = ("n", "_shift", "_guard", "_fields")
 
     def __new__(cls, n: int) -> "VarSpace":
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"rank must be an int, got {n!r}")
+        _require_int(n, "rank")
         if n < 0:
             raise ValueError(f"rank must be non-negative, got {n}")
         if n in _SPACES:
@@ -311,9 +318,7 @@ class VarSpace(Immutable):
 
     def _var(self, index: int, block: int, power: int) -> "Polynomial":
         offset = self._offset(index, block)
-        _check_exponent(power)
-        if power < 0:
-            raise ValueError("negative exponent")
+        _require_exponent(power)
         if power == 0:
             return self.one()
         if power >= EXPONENT_LIMIT:
@@ -324,6 +329,7 @@ class VarSpace(Immutable):
 
     def _offset(self, index: int, block: int) -> int:
         """Bit offset of the field of z_index (block 0) or t_index (block 1)."""
+        _require_int(index, "variable index")
         if not 1 <= index <= self.n:
             raise IndexError(f"variable index {index} out of range for rank {self.n}")
         return (2 * self.n - block * self.n - index) * FIELD_BITS
@@ -413,7 +419,12 @@ class Polynomial(Immutable):
         return other
 
     def __add__(self, other) -> "Polynomial":
+        # values are immutable, so a sum with zero is the other operand itself
         other = self._operand(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         _accumulate(terms, other._terms)
         return Polynomial._raw(self.space, terms)
@@ -425,6 +436,10 @@ class Polynomial(Immutable):
 
     def __sub__(self, other) -> "Polynomial":
         other = self._operand(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
         terms = dict(self._terms)
         _accumulate(terms, other._terms, subtract=True)
         return Polynomial._raw(self.space, terms)
@@ -438,13 +453,18 @@ class Polynomial(Immutable):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        _check_exponent(exponent)
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = self.space.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        """Repeated squaring: the powers self^(2^k) first, then the product of
+        those at the exponent's set bits, so an exponent that reaches the
+        limit raises at a squaring, before any of the products."""
+        _require_exponent(exponent)
+        powers, square = [], self
+        while exponent:
+            if exponent & 1:
+                powers.append(square)
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return prod(powers, self.space)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):

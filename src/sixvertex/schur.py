@@ -77,8 +77,6 @@ def schur_pattern_sum(lam: Sequence[int]) -> Polynomial:
 
 def deformed_denominator(kind: IceKind, n: int) -> Polynomial:
     """prod_{i<j} (t_i z_j + z_i) for Gamma, prod_{i<j} (t_j z_j + z_i) for Delta."""
-    if n < 0:
-        raise ValueError(f"rank must be non-negative, got {n}")
     space = VarSpace(n)
     kind = IceKind(kind)
     factors = []

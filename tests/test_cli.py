@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +236,28 @@ def test_bijection_refuses_a_negative_grid_before_building(monkeypatch):
             checks.bijection(max_n, max_part)
 
 
+def _refuse_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a lattice entry point was called")
+
+    for name in ("_partition_grid", "enumerate_states", "brute_force_states",
+                 "partition_function", "state_weight", "tokuyama_sum", "transfer_matrix"):
+        monkeypatch.setattr(checks, name, refuse)
+
+
+def test_grid_bounds_must_be_ints_not_bools(monkeypatch):
+    # True == 1, so a bool bound used to run the whole suite on a one-part grid
+    _refuse_lattice(monkeypatch)
+    _refuse_draws(monkeypatch)
+    for run, name, bad in ((lambda: checks.suite(True, 1), "max_n", True),
+                           (lambda: checks.suite(1, 2.0), "max_part", 2.0),
+                           (lambda: checks.suite(1, True), "max_part", True),
+                           (lambda: checks.bijection(True, 1), "max_n", True),
+                           (lambda: checks.bijection(2, "2"), "max_part", "2")):
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+            run()
+
+
 def test_verify_all_accepts_an_empty_grid():
     groups = checks.suite(0, 0)
     assert [r["check"] for r in groups["tokuyama"]] == [
@@ -307,3 +331,27 @@ def test_the_runtime_needs_only_the_standard_library():
     result = subprocess.run(argv, capture_output=True, text=True, check=False)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines() == ["0 5/5 checks passed", "[]"]
+
+
+def readme_examples() -> dict[str, str]:
+    """Each `$ sixvertex` line of README.md's sh blocks whose shown output
+    has no `...`, mapped to that output: the lines up to the next blank or
+    `$` line."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = {}
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for command, shown in re.findall(r"^\$ sixvertex (.*)\n((?:[^$\n].*\n)*)",
+                                         block, re.M):
+            if "..." not in shown:
+                examples[command] = shown
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert {"zfun --kind gamma --lambda 1,0",
+            "schur --lambda 2,1 --method bialternant",
+            "states --kind gamma --lambda 1,0 --gt",
+            "verify tokuyama --lambda 2,0"} <= examples.keys()
+    for command, shown in examples.items():
+        assert run_cli(capsys, *shlex.split(command, comments=True)) == (0, shown, "")

@@ -1,6 +1,7 @@
 """Tests for square-ice lattices, the pattern bijection, and transfer matrices."""
 
 import json
+import re
 
 import pytest
 
@@ -46,6 +47,10 @@ def test_boundary_geometry():
     assert [d.row_label(r) for r in range(3)] == [3, 2, 1]
     with pytest.raises(IndexError):
         b.row_label(3)
+    # True == 1, so a bool row used to select label 2
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match=re.escape(f"row must be an int, got {bad!r}")):
+            b.row_label(bad)
     with pytest.raises(AttributeError):
         b.n = 4
     assert b == BoundarySpec("gamma", [3, 1, 0]) and b != d
@@ -275,19 +280,25 @@ def test_vertical_minus_counts_by_row():
 def test_state_validation_errors():
     b = BoundarySpec(IceKind.GAMMA, (0, 0))
     good = next(iter(enumerate_states(b)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertical grid must be 3 x 2"):
         LatticeState(b, good.vertical[:-1], good.horizontal)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("spins must be +1 or -1: 0")):
         LatticeState(b, good.vertical,
                      [row[:-1] + (0,) for row in good.horizontal])
+    # an unhashable spin, as malformed JSON gives, is a bad spin value too
+    with pytest.raises(ValueError, match=re.escape("spins must be +1 or -1: [1]")):
+        LatticeState(b, good.vertical[:-1] + (([1], 1),), good.horizontal)
     flipped_left = [(-1,) + row[1:] for row in good.horizontal]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left boundary spin wrong in row 0"):
         LatticeState(b, good.vertical, flipped_left)
+    flipped_right = [row[:-1] + (1,) for row in good.horizontal]
+    with pytest.raises(ValueError, match="right boundary spin wrong in row 0"):
+        LatticeState(b, good.vertical, flipped_right)
     bad_top = (tuple(-s for s in good.vertical[0]),) + good.vertical[1:]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="top boundary does not match"):
         LatticeState(b, bad_top, good.horizontal)
     bad_bottom = good.vertical[:-1] + ((-1,) + good.vertical[-1][1:],)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("bottom boundary must be all +")):
         LatticeState(b, bad_bottom, good.horizontal)
 
 

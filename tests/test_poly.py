@@ -1,5 +1,6 @@
 """Tests for exact Gaussian-rational polynomial arithmetic."""
 
+import contextlib
 import copy
 import pickle
 import random
@@ -7,7 +8,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sixvertex import poly
 from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                               enumerate_states, state_to_gt)
 from sixvertex.matrix import PolyMatrix
@@ -143,6 +147,69 @@ def test_slot_equality_and_hash(build, inputs, changed):
     for other in value_objects():
         if type(other) is not type(value):
             assert not value == other and not other == value
+
+
+def test_variable_indices_must_be_ints_not_bools():
+    # True == 1, so a bool index used to name z1; a float failed inside a shift
+    space = VarSpace(2)
+    p = space.z(1) * space.t(2) + space.z(2)
+    for bad in (True, False, 1.0, Fraction(1), "1"):
+        message = re.escape(f"variable index must be an int, got {bad!r}")
+        for make in (lambda: space.z(bad), lambda: space.t(bad),
+                     lambda: space.z(bad, 2), lambda: p.degree_in_z(bad),
+                     lambda: p.degree_in_t(bad), lambda: p.substitute(z={bad: 1}),
+                     lambda: p.substitute(t={bad: 1})):
+            with pytest.raises(TypeError, match=message):
+                make()
+    # the index is checked before the exponent
+    with pytest.raises(TypeError, match="variable index"):
+        space.z(True, -1)
+
+
+@contextlib.contextmanager
+def counted_multiplies():
+    """Count the polynomial multiplies, which all run through ``poly._dot``."""
+    calls = []
+    real = poly._dot
+
+    def counting(space, pairs):
+        calls.append(space)
+        return real(space, pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_dot", counting)
+        yield calls
+
+
+@st.composite
+def small_polynomials(draw):
+    space = VarSpace(draw(st.integers(0, 2)))
+    monos = st.tuples(*[st.integers(0, 2)] * (2 * space.n))
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
+    return Polynomial(space, draw(st.dictionaries(monos, coeffs, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polynomials(), st.integers(0, 40))
+def test_power_by_repeated_squaring_matches_the_product(p, e):
+    expected = prod([p] * e, p.space)
+    with counted_multiplies() as calls:
+        assert p ** e == expected
+    assert len(calls) <= 2 * e.bit_length()
+
+
+def test_power_past_the_limit_fails_at_a_squaring():
+    z = VarSpace(1).z(1)
+    message = re.escape("exponent overflow: a product has an exponent at or above "
+                        f"the limit {EXPONENT_LIMIT}")
+    with counted_multiplies() as calls:
+        with pytest.raises(OverflowError, match=message):
+            z ** 40000
+    assert len(calls) <= 16
+    expected = prod([z + 1] * 200)
+    with counted_multiplies() as calls:
+        assert (z + 1) ** 200 == expected
+    assert len(calls) <= 2 * (200).bit_length()
 
 
 def test_varspace_guards():
@@ -282,6 +349,24 @@ def test_sums_and_differences_match_a_term_map_oracle():
         assert p + q == term_map_oracle(p, q, 1)
         assert poly_sum([p, q]) == term_map_oracle(p, q, 1)
         assert all(c for _, c in (p - q).terms())
+    # a zero operand on either side, as a polynomial or a scalar
+    zero = space.zero()
+    for p in (random_poly(rng, space, with_imag=True) + space.z(1), zero, space.const(3)):
+        for nought in (zero, 0, ZERO):
+            assert p + nought == nought + p == term_map_oracle(p, zero, 1)
+            assert p - nought == term_map_oracle(p, zero, -1)
+            assert nought - p == term_map_oracle(zero, p, -1)
+        # the sum is the other operand itself; no term map is copied
+        assert p + zero is p and zero + p is p and p - zero is p
+    for scalar in (3, Fraction(-1, 2), IMAG):
+        assert zero + scalar == scalar + zero == space.const(scalar)
+        assert zero - scalar == -space.const(scalar)
+        assert scalar - zero == space.const(scalar)
+    # the space check still runs first
+    for make in (lambda: zero + VarSpace(1).zero(), lambda: zero - VarSpace(1).z(1),
+                 lambda: VarSpace(1).zero() - zero):
+        with pytest.raises(ValueError, match="variable space mismatch"):
+            make()
 
 
 def test_products_whose_terms_cancel():

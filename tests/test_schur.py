@@ -90,8 +90,12 @@ def test_deformed_denominator_values():
         space.t(1) * space.z(2) + space.z(1))
     assert deformed_denominator(IceKind.DELTA, 2) == (
         space.t(2) * space.z(2) + space.z(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank must be non-negative, got -1"):
         deformed_denominator(IceKind.GAMMA, -1)
+    # the rank goes to VarSpace's checks, which refuse a non-int first
+    for bad in (-1.5, 2.0, True):
+        with pytest.raises(TypeError, match=f"rank must be an int, got {bad!r}"):
+            deformed_denominator(IceKind.GAMMA, bad)
 
 
 def test_deformed_denominator_at_minus_one_is_vandermonde():

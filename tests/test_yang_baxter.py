@@ -95,7 +95,16 @@ def test_ddagger_and_hatted_definitions():
     p = swap_matrix(space)
     assert ddagger(fam)(*args) == p @ fam(*swapped) @ p
     assert hatted(fam)(*args) == fam(*z_swapped)
-    assert ddagger(ddagger(fam))(*args) == fam(*args)
+    # the double dagger is an involution, so check_yb_system's B^dd is C and
+    # its C^dd is B: of its eight axioms, [[A,B^dd,B^dd]] and [[A,C,B^dd]]
+    # repeat [[A,C,C]], and [[D,C^dd,C^dd]] and [[D,B,C^dd]] repeat [[D,B,B]]
+    space = VarSpace(3)
+    points = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
+    for x, y in itertools.product(IceKind, repeat=2):
+        for wrap in (lambda f: f, hatted):
+            fam = wrap(r_family(x, y))
+            for first, second in itertools.permutations(points, 2):
+                assert ddagger(ddagger(fam))(*first, *second) == fam(*first, *second)
 
 
 def test_report_shapes():
