@@ -40,23 +40,13 @@ def _partition_grid(max_n: int, max_part: int) -> list[tuple[int, ...]]:
                 range(max_part, -1, -1), n)]
 
 
-def _require_count(value: int, name: str, flag: str) -> None:
-    """Refuse a count that is not an int (a bool included) or is below 1,
-    so that no check runs on zero draws or columns and reports success."""
+def _require_at_least(value: int, name: str, flag: str, least: int) -> None:
+    """Refuse a count or grid bound that is not an int (a bool included) or
+    is below ``least``, before any work, so that no check runs on zero draws
+    or columns and reports success."""
     _require_int(value, name)
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1")
-
-
-def _require_grid(max_n: int, max_part: int) -> None:
-    """Refuse a grid bound that is not an int or is negative, before the
-    grid is built."""
-    _require_int(max_n, "max_n")
-    if max_n < 0:
-        raise ValueError("--max-n must be at least 0")
-    _require_int(max_part, "max_part")
-    if max_part < 0:
-        raise ValueError("--max-part must be at least 0")
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}")
 
 
 def factorization(kind: IceKind, lam: tuple[int, ...]) -> list[dict]:
@@ -99,7 +89,8 @@ def ybe(kinds: tuple[IceKind, IceKind, IceKind] | None = None,
 
 def group_law(samples: int, seed: int) -> list[dict]:
     """pi is a homomorphism, compose keeps free fermions, and compose is associative."""
-    _require_count(samples, "samples", "--samples")
+    _require_at_least(samples, "samples", "--samples", 1)
+    _require_int(seed, "seed")
     rng = random.Random(seed)
     reports = []
     for combo in ("CC", "CD", "DC", "DD"):
@@ -135,7 +126,8 @@ def group_law(samples: int, seed: int) -> list[dict]:
 
 def construction(samples: int, seed: int) -> list[dict]:
     """R solved from a matched pair commutes; a mismatched pair admits no R."""
-    _require_count(samples, "samples", "--samples")
+    _require_at_least(samples, "samples", "--samples", 1)
+    _require_int(seed, "seed")
     rng = random.Random(seed)
     zero_ok, zero_wit = True, None
     for _ in range(samples):
@@ -158,7 +150,8 @@ def construction(samples: int, seed: int) -> list[dict]:
 
 def bijection(max_n: int, max_part: int) -> list[dict]:
     """Pattern enumeration equals brute force and round-trips, per grid boundary."""
-    _require_grid(max_n, max_part)
+    _require_at_least(max_n, "max_n", "--max-n", 0)
+    _require_at_least(max_part, "max_part", "--max-part", 0)
     reports = []
     for lam in _partition_grid(max_n, max_part):
         label = _lam_label(lam)
@@ -275,7 +268,7 @@ def yb_system(pairs: Iterable[tuple[IceKind, IceKind]],
 
 def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
-    _require_count(max_cols, "max_cols", "--cols")
+    _require_at_least(max_cols, "max_cols", "--cols", 1)
     if max_cols > MAX_TRANSFER_COLS:
         raise ValueError(f"--cols must be at most {MAX_TRANSFER_COLS}")
     space = VarSpace(2)
@@ -295,7 +288,8 @@ def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
     parts, each at most max_part, plus two rank-5 spot checks when
     max_n >= 4 and max_part >= 2.
     """
-    _require_grid(max_n, max_part)
+    _require_at_least(max_n, "max_n", "--max-n", 0)
+    _require_at_least(max_part, "max_part", "--max-part", 0)
     lambdas = _partition_grid(max_n, max_part)
     if max_n >= 4 and max_part >= 2:
         lambdas += _SPOT_CHECKS

@@ -264,6 +264,20 @@ def _require_exponent(power: object) -> None:
         raise ValueError("negative exponent")
 
 
+def _binary_powers(base, exponent: int) -> list:
+    """The factors of base**exponent by repeated squaring: the squares
+    base^(2^k) at the exponent's set bits, all squared before any of them
+    is multiplied into the product."""
+    powers, square = [], base
+    while exponent:
+        if exponent & 1:
+            powers.append(square)
+        exponent >>= 1
+        if exponent:
+            square = square * square
+    return powers
+
+
 def _check_space(space: VarSpace, values: Iterable) -> None:
     """The one rule for values that must share ``space``: the same object."""
     for value in values:
@@ -453,18 +467,10 @@ class Polynomial(Immutable):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        """Repeated squaring: the powers self^(2^k) first, then the product of
-        those at the exponent's set bits, so an exponent that reaches the
-        limit raises at a squaring, before any of the products."""
+        """Repeated squaring: an exponent that reaches the limit raises at a
+        squaring, before any of the products."""
         _require_exponent(exponent)
-        powers, square = [], self
-        while exponent:
-            if exponent & 1:
-                powers.append(square)
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return prod(powers, self.space)
+        return prod(_binary_powers(self, exponent), self.space)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -555,8 +561,8 @@ class Polynomial(Immutable):
             scale = coeff
             for offset, val in values.items():
                 e = (mono >> offset) & _FIELD_MASK
-                for _ in range(e):
-                    scale = scale * val
+                for power in _binary_powers(val, e):
+                    scale = scale * power
                 mono -= (e << offset) + (e << shift)
             if scale:
                 _accumulate(terms, {mono: scale})

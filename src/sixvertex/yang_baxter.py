@@ -110,6 +110,11 @@ def hatted(family: Family) -> Family:
     return fam
 
 
+def _families(pairs: tuple[tuple[IceKind, IceKind], ...], hat: bool) -> list[Family]:
+    """The R-matrix family of each kind pair, hat-swapped when ``hat`` is set."""
+    return [hatted(r_family(*pair)) if hat else r_family(*pair) for pair in pairs]
+
+
 def report(check: str, outcome: PolyMatrix | Polynomial | bool,
            witness: object = None) -> dict:
     """The ``{"check", "status", "witness"}`` record of one verification.
@@ -148,9 +153,7 @@ def _ybe_residual(f12: Family, f13: Family, f23: Family) -> PolyMatrix:
 def check_parametrized_ybe(x: IceKind, y: IceKind, z: IceKind,
                            hat: bool = False) -> dict:
     """Verifies [[R_XY(1,2), R_XZ(1,3), R_YZ(2,3)]] = 0, plainly or hatted."""
-    wrap = hatted if hat else (lambda f: f)
-    residual = _ybe_residual(wrap(r_family(x, y)), wrap(r_family(x, z)),
-                             wrap(r_family(y, z)))
+    residual = _ybe_residual(*_families(((x, y), (x, z), (y, z)), hat))
     tag = " hatted" if hat else ""
     return report(f"ybe {x.value},{y.value},{z.value}{tag}", residual)
 
@@ -227,23 +230,20 @@ def _nullspace(rows: list[list[GaussianRational]],
     return basis
 
 
-_AXIOMS = (("A", "A", "A"), ("D", "D", "D"),
-           ("A", "C", "C"), ("D", "B", "B"),
-           ("A", "B^dd", "B^dd"), ("D", "C^dd", "C^dd"),
-           ("A", "C", "B^dd"), ("D", "B", "C^dd"))
+_AXIOMS = (("A,A,A", "AAA"), ("D,D,D", "DDD"),
+           ("A,C,C", "ACC"), ("D,B,B", "DBB"),
+           ("A,B^dd,B^dd", "ACC"), ("D,C^dd,C^dd", "DBB"),
+           ("A,C,B^dd", "ACC"), ("D,B,C^dd", "DBB"))
 
 
 def check_yb_system(x: IceKind, y: IceKind, hat: bool = False) -> list[dict]:
-    """Verifies the eight Yang-Baxter system axioms for A = R_XX, C = B^dd = R_XY,
-    D = R_YY^dd, with every family hat-swapped when requested."""
-    wrap = hatted if hat else (lambda f: f)
-    a = wrap(r_family(x, x))
-    c = wrap(r_family(x, y))
-    b = ddagger(c)
-    d = ddagger(wrap(r_family(y, y)))
-    roles = {"A": a, "B": b, "C": c, "D": d,
-             "B^dd": ddagger(b), "C^dd": ddagger(c)}
+    """Verifies the eight Yang-Baxter system axioms for A = R_XX, B = C^dd,
+    C = R_XY and D = R_YY^dd, hat-swapped first when requested.  As B^dd is C
+    and C^dd is B, the axioms state four identities, each computed once."""
+    a, c, d = _families(((x, x), (x, y), (y, y)), hat)
+    roles = {"A": a, "B": ddagger(c), "C": c, "D": ddagger(d)}
+    residuals = {identity: _ybe_residual(*(roles[role] for role in identity))
+                 for identity in dict.fromkeys(identity for _, identity in _AXIOMS)}
     tag = " hatted" if hat else ""
-    return [report(f"yb-system {x.value},{y.value}{tag} [[{f},{g},{h}]]",
-                   _ybe_residual(roles[f], roles[g], roles[h]))
-            for f, g, h in _AXIOMS]
+    return [report(f"yb-system {x.value},{y.value}{tag} [[{name}]]", residuals[identity])
+            for name, identity in _AXIOMS]

@@ -189,6 +189,15 @@ def test_sample_counts_must_be_ints_not_bools(monkeypatch):
             checks.construction(bad, 1)
 
 
+def test_seeds_must_be_ints_not_bools(monkeypatch):
+    # a bool or a float seed used to run and be printed in the check names
+    _refuse_draws(monkeypatch)
+    for run, bad in ((lambda: checks.group_law(1, True), True),
+                     (lambda: checks.construction(1, 1.5), 1.5)):
+        with pytest.raises(TypeError, match=re.escape(f"seed must be an int, got {bad!r}")):
+            run()
+
+
 def test_column_counts_must_be_ints_not_bools(monkeypatch):
     # True == 1, so a bool used to pass the range checks as one column
     def refuse(*args):

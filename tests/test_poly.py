@@ -475,6 +475,27 @@ def test_substitute_and_evaluate():
         p.evaluate([1], [1, 1])
 
 
+def test_substitution_powers_by_repeated_squaring(monkeypatch):
+    # at the largest exponent, one multiply per unit would be 32,767 multiplies
+    top = EXPONENT_LIMIT - 1
+    assert VarSpace(1).z(1, top).substitute(z={1: 3}) == 3 ** top
+    calls = []
+    real = GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counting)
+    z = VarSpace(1).z
+    for k in (1, 2, 3, 100, 8191):
+        calls.clear()
+        # (1+i)^4 = -4
+        assert z(1, 4 * k).substitute(z={1: GaussianRational(1, 1)}) == (-4) ** k
+        assert len(calls) <= 2 * (4 * k).bit_length()
+
+
 def test_permute_rank_variables():
     space = VarSpace(2)
     p = space.z(1) * space.t(2, 2)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sixvertex import yang_baxter
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import VarSpace
 from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights_params,
@@ -191,13 +192,61 @@ def test_solution_space_rejects_space_mismatch():
         r_solution_space(s, gamma(VarSpace(1), 1))
 
 
+_AXIOM_NAMES = ("A,A,A", "D,D,D", "A,C,C", "D,B,B",
+                "A,B^dd,B^dd", "D,C^dd,C^dd", "A,C,B^dd", "D,B,C^dd")
+
+
 def test_yb_system_reports():
     reports = check_yb_system(IceKind.GAMMA, IceKind.DELTA)
-    assert len(reports) == 8
     assert all(rep["status"] == "pass" for rep in reports)
-    names = [rep["check"] for rep in reports]
-    assert names[0] == "yb-system gamma,delta [[A,A,A]]"
-    assert "yb-system gamma,delta [[D,B,C^dd]]" in names
+    assert [rep["check"] for rep in reports] == [
+        f"yb-system gamma,delta [[{name}]]" for name in _AXIOM_NAMES]
     hatted_reports = check_yb_system(IceKind.GAMMA, IceKind.DELTA, hat=True)
     assert all(rep["status"] == "pass" for rep in hatted_reports)
     assert all(" hatted " in rep["check"] for rep in hatted_reports)
+
+
+def test_yb_system_computes_each_identity_once(monkeypatch):
+    # B^dd is C and C^dd is B, so the eight axioms are four identities
+    calls = []
+    real = yang_baxter._ybe_residual
+
+    def counting(*families):
+        calls.append(families)
+        return real(*families)
+
+    monkeypatch.setattr(yang_baxter, "_ybe_residual", counting)
+    for x, y in itertools.product(IceKind, repeat=2):
+        for hat in (False, True):
+            calls.clear()
+            assert len(check_yb_system(x, y, hat)) == 8
+            assert len(calls) == 4
+
+
+def test_yb_system_reports_a_broken_mixed_family_under_every_name(monkeypatch):
+    # the mixed family's a1 entry off by 1 breaks every axiom that has B or C
+    real = yang_baxter.r_family
+
+    def broken(x, y):
+        fam = real(x, y)
+        if x is y:
+            return fam
+
+        def off(za, ta, zb, tb):
+            m = fam(za, ta, zb, tb)
+            one, zero = m.space.one(), m.space.zero()
+            return m + PolyMatrix([[one if r == c == 0 else zero for c in range(4)]
+                                   for r in range(4)])
+        return off
+
+    monkeypatch.setattr(yang_baxter, "r_family", broken)
+    for x, y in ((IceKind.GAMMA, IceKind.DELTA), (IceKind.DELTA, IceKind.GAMMA)):
+        for hat in (False, True):
+            reports = dict(zip(_AXIOM_NAMES, check_yb_system(x, y, hat)))
+            assert [name for name, rep in reports.items() if rep["status"] == "pass"] == [
+                "A,A,A", "D,D,D"]
+            for names in (("A,C,C", "A,B^dd,B^dd", "A,C,B^dd"),
+                          ("D,B,B", "D,C^dd,C^dd", "D,B,C^dd")):
+                witnesses = [reports[name]["witness"] for name in names]
+                assert witnesses[0] is not None
+                assert witnesses == [witnesses[0]] * 3
