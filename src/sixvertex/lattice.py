@@ -23,7 +23,7 @@ from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import Immutable, Polynomial, VarSpace, _require_int, poly_sum, prod
+from .poly import Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
 from .weights import IceKind, VertexWeights, ice_weights
 
 # Admissible spin patterns (W, N, E, S) and their weight slots; an
@@ -458,10 +458,16 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     """Row-transfer matrix on n_cols columns with periodic horizontal edges.
 
     V[alpha, beta] is the trace, over the horizontal edge, of the column
-    monodromy: the product of one 2x2 step matrix per column,
-    L(a, b)[right, left] = mat[2*right + b, 2*left + a] for top spin a and
-    bottom spin b, later columns on the left.  alpha gives the top spins and
-    beta the bottom spins, both big-endian with 0 for +.
+    monodromy M[alpha, beta], a 2x2 matrix indexed [right, left] by the
+    horizontal spins at the ends of the row.  alpha gives the top spins and
+    beta the bottom spins, both big-endian with 0 for +.  A column with top
+    spin a and bottom spin b, placed left of the columns so far, extends it:
+
+        M'[2*alpha + a, 2*beta + b][r, l] = sum_k mat[2*r + b, 2*k + a] * M[alpha, beta][k, l]
+
+    Only the nonzero entries M[alpha, beta][right, left] are kept, in a dict
+    keyed (alpha, beta, right, left), and each is extended through the
+    nonzero vertex weights only, with one accumulation per new entry.
     """
     _require_int(n_cols, "n_cols")
     if not 1 <= n_cols <= MAX_TRANSFER_COLS:
@@ -469,16 +475,26 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     mat = w.end2() if isinstance(w, VertexWeights) else w
     if mat.size != 4:
         raise ValueError("vertex matrix must be 4x4")
-    spins = (0, 1)
-    step = {(a, b): PolyMatrix([[mat[2 * right + b, 2 * left + a] for left in spins]
-                                for right in spins])
-            for a in spins for b in spins}
-    # monodromy[alpha, beta] for the columns placed so far
-    monodromy = {(0, 0): PolyMatrix.identity(mat.space, 2)}
+    space = mat.space
+    # the nonzero weights mat[2*right + b, 2*k + a], by the spin k they continue
+    weights_by_k: dict[int, list] = {0: [], 1: []}
+    for row, col, weight in mat.nonzero_entries():
+        (right, b), (k, a) = divmod(row, 2), divmod(col, 2)
+        weights_by_k[k].append((a, b, right, weight))
+    monodromy = {(0, 0, spin, spin): space.one() for spin in (0, 1)}
     for _ in range(n_cols):
-        monodromy = {(2 * alpha + a, 2 * beta + b): step[a, b] @ m
-                     for (alpha, beta), m in monodromy.items()
-                     for a in spins for b in spins}
+        pairs: dict[tuple[int, int, int, int], list] = {}
+        for (alpha, beta, k, left), entry in monodromy.items():
+            for a, b, right, weight in weights_by_k[k]:
+                pairs.setdefault((2 * alpha + a, 2 * beta + b, right, left),
+                                 []).append((weight, entry))
+        monodromy = {key: entry for key, entry_pairs in pairs.items()
+                     if (entry := _dot(space, entry_pairs))}
+    traces: dict[tuple[int, int], list] = {}
+    for (alpha, beta, right, left), entry in monodromy.items():
+        if right == left:
+            traces.setdefault((alpha, beta), []).append(entry)
     size = 1 << n_cols
-    return PolyMatrix([[monodromy[alpha, beta][0, 0] + monodromy[alpha, beta][1, 1]
-                        for beta in range(size)] for alpha in range(size)])
+    zero = space.zero()
+    return PolyMatrix([[poly_sum(traces[alpha, beta], space) if (alpha, beta) in traces
+                        else zero for beta in range(size)] for alpha in range(size)])

@@ -93,24 +93,39 @@ class Immutable:
 
 
 def _scalar_operator(method):
-    """Call ``method`` with the other operand as a GaussianRational.
+    """Call ``method(self, re, im)`` with the exact parts of the other operand.
 
-    An operand that is neither a number nor a string, such as a Polynomial,
-    gets NotImplemented, so that its reflected operator runs.  A float is a
-    number and still raises TypeError when coerced.
+    A GaussianRational, a Fraction or an int is taken by its exact type, with
+    no coercion beyond an int becoming a Fraction.  An operand that is neither
+    a number nor a string, such as a Polynomial, gets NotImplemented, so that
+    its reflected operator runs.  Any other number or string goes through the
+    constructor, where a float raises TypeError.
     """
     @functools.wraps(method)
     def operate(self, other):
-        if not isinstance(other, GaussianRational):
-            if not isinstance(other, (numbers.Number, str)):
-                return NotImplemented
-            other = GaussianRational(other)
-        return method(self, other)
+        kind = type(other)
+        if kind is GaussianRational:
+            return method(self, other.re, other.im)
+        if kind is Fraction:
+            return method(self, other, _NIL)
+        if kind is int:
+            return method(self, Fraction(other), _NIL)
+        if not isinstance(other, (numbers.Number, str)):
+            return NotImplemented
+        other = GaussianRational(other)
+        return method(self, other.re, other.im)
     return operate
 
 
+_NIL = Fraction(0)  # the zero part
+
+
 class GaussianRational(Immutable):
-    """An exact complex number ``re + im*i`` with rational parts."""
+    """An exact complex number ``re + im*i`` with rational parts.
+
+    Both parts are always ``Fraction``s.  The operators take the other
+    operand's parts as ``(c, d)`` and build their results with ``_raw``.
+    """
 
     __slots__ = ("re", "im")
 
@@ -119,65 +134,78 @@ class GaussianRational(Immutable):
         object.__setattr__(self, "im", _rational(im))
 
     @classmethod
+    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        # internal: both parts must already be Fractions
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
+    @classmethod
     def coerce(cls, value: "GaussianRational | Fraction | int | str") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         return cls(value)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     @_scalar_operator
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re + other.re)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    def __add__(self, c: Fraction, d: Fraction) -> "GaussianRational":
+        return GaussianRational._raw(self.re + c, self.im + d if d else self.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self.re, -self.im)
 
     @_scalar_operator
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
+        return GaussianRational._raw(self.re - c, self.im - d if d else self.im)
 
     @_scalar_operator
-    def __rsub__(self, other: "GaussianRational") -> "GaussianRational":
-        return other - self
+    def __rsub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
+        return GaussianRational._raw(c - self.re, d - self.im)
 
     @_scalar_operator
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+    def __mul__(self, c: Fraction, d: Fraction) -> "GaussianRational":
         # as many rational products as the factors' nonzero parts need
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b = self.re, self.im
+        raw = GaussianRational._raw
         if not b:
-            return GaussianRational(a * c, a * d) if d else GaussianRational(a * c)
+            if not d:
+                return raw(a * c, _NIL)
+            return raw(a * c if c else _NIL, a * d)
         if not d:
-            return GaussianRational(a * c, b * c)
-        if not a and not c:
-            return GaussianRational(-b * d)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+            return raw(a * c if a else _NIL, b * c)
+        if not c:
+            return raw(-(b * d), a * d if a else _NIL)
+        if not a:
+            return raw(-(b * d), b * c)
+        return raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     @_scalar_operator
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / norm,
-                                (other.re * self.im - other.im * self.re) / norm)
+    def __truediv__(self, c: Fraction, d: Fraction) -> "GaussianRational":
+        a, b = self.re, self.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return GaussianRational._raw(a / c, b / c if b else _NIL)
+        norm = c * c + d * d
+        return GaussianRational._raw((a * c + b * d) / norm, (c * b - d * a) / norm)
 
     @_scalar_operator
-    def __rtruediv__(self, other: "GaussianRational") -> "GaussianRational":
-        return other / self
+    def __rtruediv__(self, c: Fraction, d: Fraction) -> "GaussianRational":
+        return GaussianRational._raw(c, d) / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
+            return not self.im and self.re == other
         if not isinstance(other, GaussianRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -648,8 +676,10 @@ class Polynomial(Immutable):
 
 
 def _dot(space: VarSpace,
-         pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
+         pairs: Iterable[tuple[Polynomial, Polynomial]],
+         negated: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
+    """Sum of ``left * right`` over ``pairs``, minus the same sum over
+    ``negated``, for polynomials of ``space``; no space is compared here.
 
     Every term product goes into one packed term map: a monomial seen for
     the first time stores its product as it is, and only a repeated one adds.
@@ -661,6 +691,16 @@ def _dot(space: VarSpace,
     for left, right in pairs:
         right_terms = right._terms.items()
         for m1, c1 in left._terms.items():
+            for m2, c2 in right_terms:
+                mono = m1 + m2
+                acc = get(mono)
+                terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+    # the same loop with each left coefficient negated; a separate loop, so
+    # that a plain product pays nothing for the sign
+    for left, right in negated:
+        right_terms = right._terms.items()
+        for m1, c1 in left._terms.items():
+            c1 = -c1
             for m2, c2 in right_terms:
                 mono = m1 + m2
                 acc = get(mono)

@@ -14,9 +14,9 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                                state_to_gt, state_weight, tokuyama_sum,
                                transfer_matrix, validate_partition)
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import Polynomial, VarSpace, poly_sum, prod
+from sixvertex.poly import IMAG, Polynomial, VarSpace, poly_sum, prod
 from sixvertex.schur import schur_bialternant
-from sixvertex.weights import IceKind, delta, gamma, ice_weights
+from sixvertex.weights import IceKind, delta, gamma, ice_weights, r_weights_params
 
 # the grid verify all checks Tokuyama on: at most 4 parts, each at most 4,
 # plus the two rank-5 spot checks
@@ -435,16 +435,29 @@ def generic_vertex_matrix(space: VarSpace) -> PolyMatrix:
                         for c in range(4)] for r in range(4)])
 
 
+def type_d_r_matrix(space: VarSpace) -> PolyMatrix:
+    # a type-D R-matrix whose second row has the constant parameters (2, 3)
+    return r_weights_params(IceKind.GAMMA, IceKind.DELTA, space.z(1), space.t(1),
+                            space.const(2), space.const(3)).end2()
+
+
 VERTEX_MATRICES = {"gamma": lambda space: gamma(space, 1).end2(),
                    "delta": lambda space: delta(space, 1).end2(),
-                   "generic": generic_vertex_matrix}
+                   "generic": generic_vertex_matrix,
+                   "type-d-r": type_d_r_matrix,
+                   "imag-gamma": lambda space: gamma(space, 1).end2().scale(IMAG)}
 
 
 @pytest.mark.parametrize("name", sorted(VERTEX_MATRICES))
 @pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
 def test_transfer_matrix_matches_brute_force_ring_sum(name, n_cols):
     mat = VERTEX_MATRICES[name](VarSpace(1))
-    assert transfer_matrix(mat, n_cols) == brute_force_transfer_matrix(mat, n_cols)
+    v, expected = transfer_matrix(mat, n_cols), brute_force_transfer_matrix(mat, n_cols)
+    assert v == expected
+    for row, expected_row in zip(v.rows, expected.rows):
+        for entry, expected_entry in zip(row, expected_row):
+            if expected_entry.is_zero():
+                assert entry.is_zero() and entry.space is mat.space
 
 
 def test_transfer_matrix_guards():

@@ -267,6 +267,7 @@ def mixed_space_builds():
                      id="VertexWeights"),
         pytest.param(lambda: r_solution_space(gamma(one, 1), gamma(two, 1)),
                      id="r_solution_space"),
+        pytest.param(lambda: compose(gamma(one, 1), gamma(two, 1)), id="compose"),
     ]
 
 

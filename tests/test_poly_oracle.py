@@ -7,6 +7,7 @@ representation behind it.
 
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -159,9 +160,28 @@ def test_gaussian_products_match_the_four_product_formula(shapes, data):
     c, d, right = data.draw(gaussian_operands(shapes[1]))
     if not isinstance(right, GaussianRational):
         right = GaussianRational(right)  # one operand must be Gaussian
-    for product in (left * right, right * left):
-        assert isinstance(product, GaussianRational)
-        assert (product.re, product.im) == (a * c - b * d, a * d + b * c)
+    expected = [(a * c - b * d, a * d + b * c)] * 2 + [(a + c, b + d)] * 2 \
+        + [(a - c, b - d), (c - a, d - b)]
+    results = [left * right, right * left, left + right, right + left,
+               left - right, right - left]
+    for result, parts in zip(results, expected):
+        assert isinstance(result, GaussianRational)
+        assert (result.re, result.im) == parts
+        assert type(result.re) is Fraction and type(result.im) is Fraction
+    if right:
+        quotient = left / right
+        assert quotient * right == GaussianRational.coerce(left)
+        assert type(quotient.re) is Fraction and type(quotient.im) is Fraction
+
+
+@pytest.mark.parametrize("value", [GaussianRational(3, 0), GaussianRational(0, -2),
+                                   GaussianRational(1, 1)], ids=SHAPES)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv], ids=lambda op: op.__name__)
+def test_gaussian_operators_refuse_floats_on_either_side(op, value):
+    for args in ((value, 0.5), (0.5, value), (value, 2.0), (-1.0, value)):
+        with pytest.raises(TypeError):
+            op(*args)
 
 
 # -- sympy as an independent oracle ---------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import VarSpace
+from sixvertex.poly import IMAG, VarSpace
 from sixvertex.weights import (IceKind, VertexWeights, compose, delta,
                                delta_invariants, free_fermion, gamma,
                                ice_weights, inverse_scaled, invariants_match,
@@ -152,6 +152,83 @@ def test_compose_rejects_non_free_fermionic_inputs():
         compose(generic, ff)
     with pytest.raises(ValueError):
         compose(ff, generic)
+
+
+def reference_free_fermion(w):
+    """a1 a2 + b1 b2 - c1 c2 - d1 d2 by chained products and sums."""
+    return w.a1 * w.a2 + w.b1 * w.b2 - w.c1 * w.c2 - w.d1 * w.d2
+
+
+def reference_compose(r, t):
+    """The group law's four case tables by chained products and sums."""
+    for w in (r, t):
+        if not reference_free_fermion(w).is_zero():
+            raise ValueError("compose requires free-fermionic weights")
+    if r.kind == "C" and t.kind == "C":
+        return VertexWeights.type_c(
+            r.a1 * t.a1 - r.b2 * t.b1,
+            r.a2 * t.a2 - r.b1 * t.b2,
+            r.b1 * t.a1 + r.a2 * t.b1,
+            r.a1 * t.b2 + r.b2 * t.a2,
+            r.c1 * t.c1,
+            r.c2 * t.c2)
+    if r.kind == "C" and t.kind == "D":
+        return VertexWeights.type_d(
+            r.a2 * t.a1 + r.b1 * t.b1,
+            r.a1 * t.a2 + r.b2 * t.b2,
+            r.a1 * t.b1 - r.b2 * t.a1,
+            r.a2 * t.b2 - r.b1 * t.a2,
+            r.c1 * t.d1,
+            r.c2 * t.d2)
+    if r.kind == "D" and t.kind == "C":
+        return VertexWeights.type_d(
+            r.a1 * t.a2 + r.b2 * t.b2,
+            r.a2 * t.a1 + r.b1 * t.b1,
+            r.b1 * t.a2 - r.a2 * t.b2,
+            r.b2 * t.a1 - r.a1 * t.b1,
+            r.d1 * t.c2,
+            r.d2 * t.c1)
+    return VertexWeights.type_c(
+        r.b1 * t.b2 - r.a2 * t.a2,
+        r.b2 * t.b1 - r.a1 * t.a1,
+        r.b2 * t.a2 + r.a1 * t.b2,
+        r.b1 * t.a1 + r.a2 * t.b1,
+        r.d1 * t.d2,
+        r.d2 * t.d1)
+
+
+def times_imag(w):
+    """Every weight times i: Gaussian coefficients, and still free-fermionic,
+    since the free-fermion residual is homogeneous of degree 2."""
+    return VertexWeights(*(getattr(w, f) * IMAG for f in VertexWeights._FIELDS))
+
+
+def symbolic_free_fermionic_systems():
+    space = VarSpace(2)
+    plain = [gamma(space, 1), delta(space, 2)] + [
+        r_weights(space, x, y, 1, 2) for x in IceKind for y in IceKind]
+    return plain + [times_imag(w) for w in plain]
+
+
+def test_compose_and_free_fermion_match_the_chained_formulas():
+    systems = symbolic_free_fermionic_systems()
+    assert any(w.kind == "C" for w in systems) and any(w.kind == "D" for w in systems)
+    for w in systems:
+        assert free_fermion(w) == reference_free_fermion(w)
+        assert free_fermion(w).is_zero()
+    for r in systems:
+        for t in systems:
+            composed = compose(r, t)
+            assert composed == reference_compose(r, t)
+            assert composed.space is r.space
+    space = VarSpace(2)
+    z, t = space.z(1), space.t(2)
+    generic = VertexWeights.type_d(z + 1, t * IMAG, z * t - 3, z, 2 * t + IMAG, z * z)
+    assert free_fermion(generic) == reference_free_fermion(generic)
+    assert not free_fermion(generic).is_zero()
+    generic_c = VertexWeights.type_c(z, t, z + t, space.const(3) * IMAG, z - 2, t * t)
+    assert free_fermion(generic_c) == reference_free_fermion(generic_c)
+    assert not free_fermion(generic_c).is_zero()
 
 
 def test_inverse_scaled_both_kinds():
