@@ -148,14 +148,14 @@ class GaussianRational(Immutable):
         return cls(value)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self.re == 0 and self.im == 0
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return not self.is_zero()
 
     @_scalar_operator
     def __add__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        return GaussianRational._raw(self.re + c, self.im + d if d else self.im)
+        return GaussianRational._raw(self.re + c, self.im + d)
 
     __radd__ = __add__
 
@@ -164,7 +164,7 @@ class GaussianRational(Immutable):
 
     @_scalar_operator
     def __sub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        return GaussianRational._raw(self.re - c, self.im - d if d else self.im)
+        return GaussianRational._raw(self.re - c, self.im - d)
 
     @_scalar_operator
     def __rsub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
@@ -172,32 +172,28 @@ class GaussianRational(Immutable):
 
     @_scalar_operator
     def __mul__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        # as many rational products as the factors' nonzero parts need
+        # two factors that are each real or imaginary need one rational product
         a, b = self.re, self.im
         raw = GaussianRational._raw
-        if not b:
-            if not d:
-                return raw(a * c, _NIL)
-            return raw(a * c if c else _NIL, a * d)
-        if not d:
-            return raw(a * c if a else _NIL, b * c)
-        if not c:
-            return raw(-(b * d), a * d if a else _NIL)
-        if not a:
-            return raw(-(b * d), b * c)
+        if not (b or d):
+            return raw(a * c, _NIL)
+        if not (a or c):
+            return raw(-(b * d), _NIL)
+        if not (a or d):
+            return raw(_NIL, b * c)
+        if not (b or c):
+            return raw(_NIL, a * d)
         return raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     @_scalar_operator
     def __truediv__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        a, b = self.re, self.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational._raw(a / c, b / c if b else _NIL)
         norm = c * c + d * d
-        return GaussianRational._raw((a * c + b * d) / norm, (c * b - d * a) / norm)
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianRational._raw((self.re * c + self.im * d) / norm,
+                                     (c * self.im - d * self.re) / norm)
 
     @_scalar_operator
     def __rtruediv__(self, c: Fraction, d: Fraction) -> "GaussianRational":
@@ -205,7 +201,7 @@ class GaussianRational(Immutable):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -676,10 +672,8 @@ class Polynomial(Immutable):
 
 
 def _dot(space: VarSpace,
-         pairs: Iterable[tuple[Polynomial, Polynomial]],
-         negated: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
-    """Sum of ``left * right`` over ``pairs``, minus the same sum over
-    ``negated``, for polynomials of ``space``; no space is compared here.
+         pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
 
     Every term product goes into one packed term map: a monomial seen for
     the first time stores its product as it is, and only a repeated one adds.
@@ -691,16 +685,6 @@ def _dot(space: VarSpace,
     for left, right in pairs:
         right_terms = right._terms.items()
         for m1, c1 in left._terms.items():
-            for m2, c2 in right_terms:
-                mono = m1 + m2
-                acc = get(mono)
-                terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
-    # the same loop with each left coefficient negated; a separate loop, so
-    # that a plain product pays nothing for the sign
-    for left, right in negated:
-        right_terms = right._terms.items()
-        for m1, c1 in left._terms.items():
-            c1 = -c1
             for m2, c2 in right_terms:
                 mono = m1 + m2
                 acc = get(mono)

@@ -148,7 +148,7 @@ def ice_weights(space: VarSpace, kind: IceKind, i: int) -> VertexWeights:
 
 def free_fermion(w: VertexWeights) -> Polynomial:
     """The residual a1 a2 + b1 b2 - c1 c2 - d1 d2; zero on the free-fermion locus."""
-    return _dot(w.space, ((w.a1, w.a2), (w.b1, w.b2)), ((w.c1, w.c2), (w.d1, w.d2)))
+    return _dot(w.space, ((w.a1, w.a2), (w.b1, w.b2), (-w.c1, w.c2), (-w.d1, w.d2)))
 
 
 def pi_map(w: VertexWeights) -> PolyMatrix:
@@ -193,8 +193,8 @@ def invariants_match(s: VertexWeights, t: VertexWeights) -> tuple[Polynomial, Po
     (n_t, d1_t), (_, d2_t) = delta_invariants(t)
     space = s.space
     _check_space(space, (t,))
-    return (_dot(space, ((n_s, d1_t),), ((n_t, d1_s),)),
-            _dot(space, ((n_s, d2_t),), ((n_t, d2_s),)))
+    return (_dot(space, ((n_s, d1_t), (-n_t, d1_s))),
+            _dot(space, ((n_s, d2_t), (-n_t, d2_s))))
 
 
 def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
@@ -209,38 +209,38 @@ def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
     for w in (r, t):
         if not free_fermion(w).is_zero():
             raise ValueError("compose requires free-fermionic weights")
-    # each weight is one accumulation of its signed products of r and t weights
+    # a weight with two products is one accumulation of both, signs on the left
     if r.kind == "C" and t.kind == "C":
         return VertexWeights.type_c(
-            _dot(space, [(r.a1, t.a1)], [(r.b2, t.b1)]),
-            _dot(space, [(r.a2, t.a2)], [(r.b1, t.b2)]),
+            _dot(space, [(r.a1, t.a1), (-r.b2, t.b1)]),
+            _dot(space, [(r.a2, t.a2), (-r.b1, t.b2)]),
             _dot(space, [(r.b1, t.a1), (r.a2, t.b1)]),
             _dot(space, [(r.a1, t.b2), (r.b2, t.a2)]),
-            _dot(space, [(r.c1, t.c1)]),
-            _dot(space, [(r.c2, t.c2)]))
+            r.c1 * t.c1,
+            r.c2 * t.c2)
     if r.kind == "C" and t.kind == "D":
         return VertexWeights.type_d(
             _dot(space, [(r.a2, t.a1), (r.b1, t.b1)]),
             _dot(space, [(r.a1, t.a2), (r.b2, t.b2)]),
-            _dot(space, [(r.a1, t.b1)], [(r.b2, t.a1)]),
-            _dot(space, [(r.a2, t.b2)], [(r.b1, t.a2)]),
-            _dot(space, [(r.c1, t.d1)]),
-            _dot(space, [(r.c2, t.d2)]))
+            _dot(space, [(r.a1, t.b1), (-r.b2, t.a1)]),
+            _dot(space, [(r.a2, t.b2), (-r.b1, t.a2)]),
+            r.c1 * t.d1,
+            r.c2 * t.d2)
     if r.kind == "D" and t.kind == "C":
         return VertexWeights.type_d(
             _dot(space, [(r.a1, t.a2), (r.b2, t.b2)]),
             _dot(space, [(r.a2, t.a1), (r.b1, t.b1)]),
-            _dot(space, [(r.b1, t.a2)], [(r.a2, t.b2)]),
-            _dot(space, [(r.b2, t.a1)], [(r.a1, t.b1)]),
-            _dot(space, [(r.d1, t.c2)]),
-            _dot(space, [(r.d2, t.c1)]))
+            _dot(space, [(r.b1, t.a2), (-r.a2, t.b2)]),
+            _dot(space, [(r.b2, t.a1), (-r.a1, t.b1)]),
+            r.d1 * t.c2,
+            r.d2 * t.c1)
     return VertexWeights.type_c(
-        _dot(space, [(r.b1, t.b2)], [(r.a2, t.a2)]),
-        _dot(space, [(r.b2, t.b1)], [(r.a1, t.a1)]),
+        _dot(space, [(r.b1, t.b2), (-r.a2, t.a2)]),
+        _dot(space, [(r.b2, t.b1), (-r.a1, t.a1)]),
         _dot(space, [(r.b2, t.a2), (r.a1, t.b2)]),
         _dot(space, [(r.b1, t.a1), (r.a2, t.b1)]),
-        _dot(space, [(r.d1, t.d2)]),
-        _dot(space, [(r.d2, t.d1)]))
+        r.d1 * t.d2,
+        r.d2 * t.d1)
 
 
 def inverse_scaled(w: VertexWeights) -> tuple[VertexWeights, Polynomial]:

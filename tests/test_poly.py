@@ -268,6 +268,9 @@ def mixed_space_builds():
         pytest.param(lambda: r_solution_space(gamma(one, 1), gamma(two, 1)),
                      id="r_solution_space"),
         pytest.param(lambda: compose(gamma(one, 1), gamma(two, 1)), id="compose"),
+        # the spaces are compared before the free-fermion precondition
+        pytest.param(lambda: compose(VertexWeights.type_c(*[one.one()] * 5, one.const(3)),
+                                     gamma(two, 1)), id="compose-not-free-fermionic"),
     ]
 
 
