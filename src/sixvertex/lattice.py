@@ -6,7 +6,9 @@ down to 0 from left to right; the top boundary has a - exactly at the
 labels lambda_i + n - i.  Gamma ice puts + on the left and bottom edges
 and - on the right, with rows labeled 1..n from the top; Delta ice puts -
 on the left, + on the right and bottom, with rows labeled n..1.  The row
-label i selects the weights (z_i, t_i) for every vertex in that row.
+label i selects the weights (z_i, t_i) for every vertex in that row; a
+vertex's weight, and whether it is admissible, is the entry of that row's
+vertex matrix given by the vertex rule (README, "Conventions").
 
 States correspond to strict Gelfand-Tsetlin patterns with top row
 lambda + rho by reading off the column labels of the - spins in each row
@@ -24,19 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
 from .poly import Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
-from .weights import IceKind, VertexWeights, ice_weights
-
-# Admissible spin patterns (W, N, E, S) and their weight slots; an
-# admissible vertex has an even number of -, with d-patterns excluded for
-# Gamma ice and c-patterns excluded for Delta ice.
-_SLOT_BY_PATTERN = {
-    (1, 1, 1, 1): "a1", (-1, -1, -1, -1): "a2",
-    (1, -1, 1, -1): "b1", (-1, 1, -1, 1): "b2",
-    (-1, 1, 1, -1): "c1", (1, -1, -1, 1): "c2",
-    (-1, -1, 1, 1): "d1", (1, 1, -1, -1): "d2"}
-
-_EXCLUDED = {IceKind.GAMMA: ((-1, -1, 1, 1), (1, 1, -1, -1)),
-             IceKind.DELTA: ((-1, 1, 1, -1), (1, -1, -1, 1))}
+from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
 
 _SPINS = frozenset((1, -1))
 
@@ -191,9 +181,11 @@ class LatticeState(Immutable):
 
     def first_inadmissible(self) -> tuple[int, int] | None:
         """Coordinates of the first vertex violating admissibility, if any."""
-        for r in range(self.boundary.n):
-            for c in range(self.boundary.m):
-                if not _admissible(self.boundary.kind, self.vertex_pattern(r, c)):
+        b = self.boundary
+        for r in range(b.n):
+            mat = _row_matrix(b.kind, b.n, r)
+            for c in range(b.m):
+                if not mat[_vertex_entry(*self.vertex_pattern(r, c))]:
                     return r, c
         return None
 
@@ -206,16 +198,16 @@ class LatticeState(Immutable):
     @classmethod
     def from_json(cls, data: dict) -> "LatticeState":
         boundary = BoundarySpec(IceKind(data["kind"]), tuple(data["lambda"]))
-        return cls(boundary, data["vertical"], data["horizontal"])
+        state = cls(boundary, data["vertical"], data["horizontal"])
+        # the constructor takes any spin equal to +1 or -1, such as true or 1.0
+        for spin in chain.from_iterable(state.vertical + state.horizontal):
+            if type(spin) is not int:
+                raise ValueError(f"spins must be +1 or -1: {spin!r}")
+        return state
 
     def __repr__(self) -> str:
         return (f"LatticeState({self.boundary!r}, vertical={self.vertical}, "
                 f"horizontal={self.horizontal})")
-
-
-def _admissible(kind: IceKind, pattern: tuple[int, int, int, int]) -> bool:
-    w, n, e, s = pattern
-    return w * n * e * s == 1 and pattern not in _EXCLUDED[kind]
 
 
 def interleavers(row: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
@@ -305,6 +297,7 @@ def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
 
     def row_choices(n_row: tuple[int, ...], r: int):
         last = r == b.n - 1
+        mat = _row_matrix(b.kind, b.n, r)
 
         def walk(c: int, w: int, below: tuple[int, ...], lefts: tuple[int, ...]):
             if c == b.m:
@@ -312,9 +305,9 @@ def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
                     yield below, lefts + (w,)
                 return
             for s_spin in ((1,) if last else (1, -1)):
-                e = w * n_row[c] * s_spin
-                if _admissible(b.kind, (w, n_row[c], e, s_spin)):
-                    yield from walk(c + 1, e, below + (s_spin,), lefts + (w,))
+                for e in (1, -1):
+                    if mat[_vertex_entry(w, n_row[c], e, s_spin)]:
+                        yield from walk(c + 1, e, below + (s_spin,), lefts + (w,))
 
         yield from walk(0, b.left_spin, (), ())
 
@@ -330,9 +323,9 @@ def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
 
 
 @lru_cache(maxsize=None)
-def _row_weights(kind: IceKind, n: int) -> dict[int, VertexWeights]:
-    space = VarSpace(n)
-    return {label: ice_weights(space, kind, label) for label in range(1, n + 1)}
+def _row_matrix(kind: IceKind, n: int, r: int) -> PolyMatrix:
+    """The vertex matrix of ice row r, whose entries the vertex rule reads."""
+    return ice_weights(VarSpace(n), kind, _row_label(kind, n, r)).end2()
 
 
 @lru_cache(maxsize=None)
@@ -344,15 +337,15 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
     one partition function most rows repeat; _partition_function empties
     this cache when it finishes.
     """
-    w = _row_weights(kind, n)[_row_label(kind, n, r)]
+    mat = _row_matrix(kind, n, r)
     m = len(above)
     total = VarSpace(n).one()
     for c in range(m):
-        pattern = (horizontal[c], above[c], horizontal[c + 1], below[c])
-        if not _admissible(kind, pattern):
+        weight = mat[_vertex_entry(horizontal[c], above[c], horizontal[c + 1], below[c])]
+        if not weight:
             raise ValueError(f"inadmissible vertex at row {r}, "
                              f"column label {m - 1 - c}")
-        total = total * getattr(w, _SLOT_BY_PATTERN[pattern])
+        total = total * weight
     return total
 
 
@@ -460,8 +453,9 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     V[alpha, beta] is the trace, over the horizontal edge, of the column
     monodromy M[alpha, beta], a 2x2 matrix indexed [right, left] by the
     horizontal spins at the ends of the row.  alpha gives the top spins and
-    beta the bottom spins, both big-endian with 0 for +.  A column with top
-    spin a and bottom spin b, placed left of the columns so far, extends it:
+    beta the bottom spins, both big-endian bits.  By the vertex rule
+    (README, "Conventions"), a column with top spin a and bottom spin b,
+    placed left of the columns so far, extends it:
 
         M'[2*alpha + a, 2*beta + b][r, l] = sum_k mat[2*r + b, 2*k + a] * M[alpha, beta][k, l]
 

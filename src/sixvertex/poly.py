@@ -486,7 +486,12 @@ class Polynomial(Immutable):
         return self._operand(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        return _dot(self.space, ((self, self._operand(other)),))
+        if isinstance(other, Polynomial):
+            return _dot(self.space, ((self, self._operand(other)),))
+        # a scalar scales each coefficient and leaves the monomials as they are
+        scale = _coeff(other)
+        return Polynomial._raw(self.space, {m: c * scale for m, c in self._terms.items()}
+                               if scale else {})
 
     __rmul__ = __mul__
 

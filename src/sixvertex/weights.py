@@ -8,7 +8,10 @@ arranged as the endomorphism
     [0   c2  b2  0]
     [d2  0   0  a2]
 
-of V (x) V in the basis ++, +-, -+, --.  Type C has d1 = d2 = 0 and
+of V (x) V in the basis ++, +-, -+, --.  ``_END2`` holds this one layout:
+lattice weights and admissibility read it through the vertex rule of
+``_vertex_entry``, and the solution space of [[R, S, T]] = 0 reads the
+positions of the type-C weights from it.  Type C has d1 = d2 = 0 and
 c1*c2 != 0; type D has c1 = c2 = 0 and d1*d2 != 0.  The pi map linearizes
 composition: pi(compose(R, T)) = pi(R) @ pi(T), with the four type-pair
 case tables C.C -> C, C.D -> D, D.C -> D, D.D -> C.
@@ -32,6 +35,22 @@ from .poly import GaussianRational, IMAG, Immutable, Polynomial, VarSpace, _chec
 class IceKind(str, enum.Enum):
     GAMMA = "gamma"
     DELTA = "delta"
+
+
+# The weight at each entry of the vertex matrix, None for an entry that is
+# always zero; the module docstring shows the same layout.
+_END2 = (("a1", None, None, "d1"),
+         (None, "b1", "c1", None),
+         (None, "c2", "b2", None),
+         ("d2", None, None, "a2"))
+
+
+def _vertex_entry(w: int, n: int, e: int, s: int) -> tuple[int, int]:
+    """The vertex rule: the (row, column) of the vertex matrix that holds the
+    weight of a vertex with spins (W, N, E, S), each read as a bit with 0
+    for + (``spin < 0``), so the weight is end2()[2E+S, 2W+N].  The vertex
+    is admissible exactly when that entry is nonzero."""
+    return 2 * (e < 0) + (s < 0), 2 * (w < 0) + (n < 0)
 
 
 class VertexWeights(Immutable):
@@ -69,12 +88,9 @@ class VertexWeights(Immutable):
         return self.a1.space
 
     def end2(self) -> PolyMatrix:
+        """The vertex matrix in End(V (x) V), laid out as ``_END2``."""
         zero = self.space.zero()
-        return PolyMatrix([
-            [self.a1, zero, zero, self.d1],
-            [zero, self.b1, self.c1, zero],
-            [zero, self.c2, self.b2, zero],
-            [self.d2, zero, zero, self.a2]])
+        return PolyMatrix([[getattr(self, f) if f else zero for f in row] for row in _END2])
 
     def __repr__(self) -> str:
         hidden = "d" if self.kind == "C" else "c"

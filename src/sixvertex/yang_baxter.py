@@ -17,7 +17,7 @@ from typing import Callable
 
 from .matrix import PolyMatrix
 from .poly import ONE, ZERO, GaussianRational, Polynomial, VarSpace, _check_space
-from .weights import (IceKind, VertexWeights, ice_weights, r_weights,
+from .weights import (IceKind, VertexWeights, _END2, ice_weights, r_weights,
                       r_weights_params)
 
 Family = Callable[[Polynomial, Polynomial, Polynomial, Polynomial], PolyMatrix]
@@ -52,8 +52,9 @@ def star_triangle_sides(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix,
                         ) -> tuple[Polynomial, Polynomial]:
     """Both sides of the star-triangle identity as explicit index sums.
 
-    Spins are 0 for + and 1 for -; a weight W_{xy}^{uv} is the matrix entry
-    W[2u+v, 2x+y].  For the fixed outer spins the two sides are
+    Spins are bits, and by the vertex rule (README, "Conventions") a weight
+    W_{xy}^{uv} is the matrix entry W[2u+v, 2x+y].  For the fixed outer
+    spins the two sides are
 
         sum over gamma, mu, nu of R_{sigma tau}^{nu mu} S_{nu beta}^{theta gamma}
             T_{mu gamma}^{rho alpha}
@@ -87,6 +88,13 @@ def swap_matrix(space: VarSpace) -> PolyMatrix:
         [zero, zero, zero, one]])
 
 
+def _swap_conjugate(m: PolyMatrix) -> PolyMatrix:
+    """P m P with no product: P exchanges the basis vectors +- and -+, so rows
+    1 and 2 trade places and so do columns 1 and 2 (b1 with b2, c1 with c2)."""
+    order = (0, 2, 1, 3)
+    return PolyMatrix([[m[r, c] for c in order] for r in order])
+
+
 def r_family(x: IceKind, y: IceKind) -> Family:
     """The (x, y) R-matrix as a function of two full parameter pairs."""
     def fam(za, ta, zb, tb):
@@ -97,9 +105,7 @@ def r_family(x: IceKind, y: IceKind) -> Family:
 def ddagger(family: Family) -> Family:
     """The dagger-swap of a family: X^dd(z1,t1,z2,t2) = P X(z2,t2,z1,t1) P."""
     def fam(za, ta, zb, tb):
-        m = family(zb, tb, za, ta)
-        p = swap_matrix(m.space)
-        return p @ m @ p
+        return _swap_conjugate(family(zb, tb, za, ta))
     return fam
 
 
@@ -163,16 +169,11 @@ def check_triangularity(x: IceKind, y: IceKind) -> Polynomial:
     space = VarSpace(2)
     fwd = r_weights(space, x, y, 1, 2)
     rev = r_weights(space, y, x, 2, 1)
-    p = swap_matrix(space)
-    product = fwd.end2() @ p @ rev.end2() @ p
+    product = fwd.end2() @ _swap_conjugate(rev.end2())
     scalar = product.scalar_value()
     if scalar is None:
         raise ValueError(f"product is not scalar: {product!r}")
     return scalar
-
-
-# Matrix positions of the six type-C weights a1, a2, b1, b2, c1, c2.
-_TYPE_C_POSITIONS = ((0, 0), (3, 3), (1, 1), (2, 2), (1, 2), (2, 1))
 
 
 def r_solution_space(s: VertexWeights, t: VertexWeights,
@@ -190,9 +191,8 @@ def r_solution_space(s: VertexWeights, t: VertexWeights,
     s2, t2 = s.end2(), t.end2()
     zero, one = space.zero(), space.one()
     columns = []
-    for pr, pc in _TYPE_C_POSITIONS:
-        rows = [[one if (r, c) == (pr, pc) else zero for c in range(4)]
-                for r in range(4)]
+    for field in VertexWeights._FIELDS[:6]:  # a1, a2, b1, b2, c1, c2
+        rows = [[one if f == field else zero for f in row] for row in _END2]
         comm = yb_commutator(PolyMatrix(rows), s2, t2)
         columns.append([comm[r, c].constant_value()
                         for r in range(8) for c in range(8)])

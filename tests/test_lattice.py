@@ -1,5 +1,6 @@
 """Tests for square-ice lattices, the pattern bijection, and transfer matrices."""
 
+import itertools
 import json
 import re
 
@@ -16,7 +17,8 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import IMAG, Polynomial, VarSpace, poly_sum, prod
 from sixvertex.schur import schur_bialternant
-from sixvertex.weights import IceKind, delta, gamma, ice_weights, r_weights_params
+from sixvertex.weights import (IceKind, _vertex_entry, delta, gamma, ice_weights,
+                               r_weights_params)
 
 # the grid verify all checks Tokuyama on: at most 4 parts, each at most 4,
 # plus the two rank-5 spot checks
@@ -319,6 +321,37 @@ def test_inadmissible_vertex_is_reported_with_coordinates():
                 state_weight(near_miss)
 
 
+# The paper's vertex table, spins (W, N, E, S) -> weight, kept apart from the
+# library's vertex rule so that an oracle using it cannot share a layout mistake.
+PAPER_VERTICES = {
+    (1, 1, 1, 1): "a1", (-1, -1, -1, -1): "a2",
+    (1, -1, 1, -1): "b1", (-1, 1, -1, 1): "b2",
+    (-1, 1, 1, -1): "c1", (1, -1, -1, 1): "c2",
+    (-1, -1, 1, 1): "d1", (1, 1, -1, -1): "d2"}
+
+# Gamma ice has no d-vertices and Delta ice no c-vertices.
+FORBIDDEN = {IceKind.GAMMA: ("d1", "d2"), IceKind.DELTA: ("c1", "c2")}
+
+
+def test_vertex_rule_matches_the_paper_table():
+    space = VarSpace(2)
+    for kind in IceKind:
+        b = BoundarySpec(kind, (0, 0))
+        for r in range(b.n):
+            w = ice_weights(space, kind, b.row_label(r))
+            mat = lattice._row_matrix(kind, b.n, r)
+            admissible = 0
+            for pattern in itertools.product((1, -1), repeat=4):
+                weight = mat[_vertex_entry(*pattern)]
+                name = PAPER_VERTICES.get(pattern)
+                if name is None or name in FORBIDDEN[kind]:
+                    assert weight.is_zero(), pattern
+                else:
+                    assert weight == getattr(w, name) and weight, pattern
+                    admissible += 1
+            assert admissible == 6
+
+
 def reference_state_weight(s):
     """The product of all n*m vertex weights, one multiply per vertex."""
     b = s.boundary
@@ -327,7 +360,9 @@ def reference_state_weight(s):
     for r in range(b.n):
         w = ice_weights(space, b.kind, b.row_label(r))
         for c in range(b.m):
-            total = total * getattr(w, lattice._SLOT_BY_PATTERN[s.vertex_pattern(r, c)])
+            pattern = s.vertex_pattern(r, c)
+            assert PAPER_VERTICES[pattern] not in FORBIDDEN[b.kind]
+            total = total * getattr(w, PAPER_VERTICES[pattern])
     return total
 
 
@@ -357,10 +392,26 @@ def test_row_weight_memo_is_emptied_after_each_partition_function(monkeypatch):
 
 
 def test_state_json_round_trip():
-    b = BoundarySpec(IceKind.DELTA, (2, 0))
-    for s in enumerate_states(b):
-        data = json.loads(json.dumps(s.to_json()))
-        assert LatticeState.from_json(data) == s
+    for lam in BIJECTION_GRID:
+        for kind in IceKind:
+            for s in enumerate_states(BoundarySpec(kind, lam)):
+                text = json.dumps(s.to_json())
+                back = LatticeState.from_json(json.loads(text))
+                assert back == s and json.dumps(back.to_json()) == text
+
+
+def test_state_from_json_refuses_spins_that_are_not_ints():
+    good = next(iter(enumerate_states(BoundarySpec(IceKind.GAMMA, (1, 0)))))
+    data = good.to_json()
+    assert data["vertical"][0][1] == 1
+    for bad in (True, 1.0):
+        spins = [row[:] for row in data["vertical"]]
+        spins[0][1] = bad
+        # the constructor takes the spin, since it equals 1
+        loose = LatticeState(good.boundary, spins, good.horizontal)
+        assert loose == good and state_weight(loose) == state_weight(good)
+        with pytest.raises(ValueError, match=re.escape(f"spins must be +1 or -1: {bad!r}")):
+            LatticeState.from_json(dict(data, vertical=spins))
 
 
 def test_tokuyama_per_row_matches_partition_function():

@@ -17,7 +17,7 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
-from sixvertex.weights import (IceKind, VertexWeights, compose, gamma, pi_map,
+from sixvertex.weights import (IceKind, VertexWeights, compose, delta, gamma, pi_map,
                                random_free_fermionic)
 from sixvertex.yang_baxter import r_solution_space
 
@@ -89,6 +89,43 @@ def test_scalars_on_the_left_of_a_polynomial():
                  lambda: 0.5 - ONE):
         with pytest.raises(TypeError):
             make()
+
+
+def stored_form(p):
+    """The text, JSON and stored coefficient types of a polynomial."""
+    return str(p), p.to_json(), {m: type(c) for m, c in p._terms.items()}
+
+
+def test_a_scalar_factor_scales_like_its_constant_polynomial():
+    rng = random.Random(7)
+    space = VarSpace(2)
+    scalars = [0, 3, -1, Fraction(2, 3), Fraction(4, 2), "5/2", ZERO, ONE, IMAG,
+               GaussianRational(2), GaussianRational(1, -2)]
+    scalars += [random_coeff(rng, with_imag=True) for _ in range(10)]
+    for _ in range(20):
+        p = random_poly(rng, space, with_imag=rng.random() < 0.5)
+        for c in scalars:
+            want = p * space.const(c)
+            for got in (p * c, c * p):
+                assert got == want and stored_form(got) == stored_form(want)
+        assert (p * 0).is_zero() and (0 * p).is_zero()
+        for make in (lambda: p * 0.5, lambda: 0.5 * p):
+            with pytest.raises(TypeError, match="inexact float"):
+                make()
+
+
+def test_type_d_pi_map_matches_products_with_a_constant():
+    rng = random.Random(8)
+    for w in [delta(VarSpace(2), 2)] + [random_free_fermionic("D", rng) for _ in range(5)]:
+        i, zero = w.space.const(IMAG), w.space.zero()
+        want = [[zero, zero, zero, w.d1],
+                [zero, w.a2 * i, -(w.b1 * i), zero],
+                [zero, w.b2 * i, w.a1 * i, zero],
+                [w.d2, zero, zero, zero]]
+        got = pi_map(w)
+        for r in range(4):
+            for c in range(4):
+                assert stored_form(got[r, c]) == stored_form(want[r][c])
 
 
 def value_objects():

@@ -8,7 +8,7 @@ import pytest
 from sixvertex import yang_baxter
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import VarSpace
-from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights_params,
+from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights, r_weights_params,
                                random_matched_pair, random_mismatched_pair)
 from sixvertex.yang_baxter import (check_ice_commutator,
                                    check_parametrized_ybe,
@@ -92,9 +92,11 @@ def test_ddagger_and_hatted_definitions():
     args = (space.z(1), space.t(1), space.z(2), space.t(2))
     swapped = (space.z(2), space.t(2), space.z(1), space.t(1))
     z_swapped = (space.z(2), space.t(1), space.z(1), space.t(2))
-    fam = r_family(IceKind.GAMMA, IceKind.DELTA)
     p = swap_matrix(space)
-    assert ddagger(fam)(*args) == p @ fam(*swapped) @ p
+    for x, y in itertools.product(IceKind, repeat=2):
+        fam = r_family(x, y)
+        assert ddagger(fam)(*args) == p @ fam(*swapped) @ p
+    fam = r_family(IceKind.GAMMA, IceKind.DELTA)
     assert hatted(fam)(*args) == fam(*z_swapped)
     # the double dagger is an involution, so check_yb_system's B^dd is C and
     # its C^dd is B: of its eight axioms, [[A,B^dd,B^dd]] and [[A,C,B^dd]]
@@ -156,8 +158,11 @@ def test_triangularity_scalars():
         (IceKind.GAMMA, IceKind.DELTA): (t1 * z2 + z1) * (t2 * z2 + z1),
         (IceKind.DELTA, IceKind.GAMMA): (t1 * z1 + z2) * (t2 * z1 + z2),
         (IceKind.DELTA, IceKind.DELTA): (t1 * z1 + z2) * (t2 * z2 + z1)}
+    p = swap_matrix(space)
     for (x, y), scalar in expected.items():
         assert check_triangularity(x, y) == scalar
+        fwd, rev = r_weights(space, x, y, 1, 2).end2(), r_weights(space, y, x, 2, 1).end2()
+        assert fwd @ p @ rev @ p == PolyMatrix.identity(space, 4).scale(scalar)
 
 
 def test_solution_space_spans_only_commuting_weights():
