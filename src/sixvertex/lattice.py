@@ -127,6 +127,11 @@ class GTPattern(Immutable):
         return f"GTPattern({self.to_json()})"
 
 
+def _spins_json(row: tuple[int, ...]) -> list[int]:
+    # a spin need only equal +1 or -1, such as True or 1.0; JSON gets the int
+    return [-1 if spin < 0 else 1 for spin in row]
+
+
 class LatticeState(Immutable):
     """Spin assignment for every edge: horizontal (n)x(m+1), vertical (n+1)xm.
 
@@ -192,8 +197,8 @@ class LatticeState(Immutable):
     def to_json(self) -> dict:
         return {"lambda": list(self.boundary.lam),
                 "kind": self.boundary.kind.value,
-                "vertical": [list(row) for row in self.vertical],
-                "horizontal": [list(row) for row in self.horizontal]}
+                "vertical": [_spins_json(row) for row in self.vertical],
+                "horizontal": [_spins_json(row) for row in self.horizontal]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeState":
@@ -275,14 +280,21 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     """All states for the boundary, in strict-pattern lexicographic order.
 
     Guarded by the ICE_MAX_STATES environment variable (default 10^7).
+    A GT row recurs in many patterns, so the spin rows are built once per
+    distinct GT row and row pair, in a memo local to this call.
     """
-    limit = int(os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES)))
+    text = os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES))
+    try:
+        limit = int(text)
+    except ValueError:
+        raise ValueError(f"ICE_MAX_STATES must be an integer, got {text!r}") from None
+    memo: dict = {b.top_row(): b.top_row_spins()}
     count = 0
     for rows in gt_patterns(b.top_row(), strict=True):
         count += 1
         if count > limit:
             raise RuntimeError(f"enumeration exceeded ICE_MAX_STATES={limit}")
-        yield _state_from_rows(b, rows)
+        yield _state_from_rows(b, rows, memo)
 
 
 def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
@@ -339,14 +351,13 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
     """
     mat = _row_matrix(kind, n, r)
     m = len(above)
-    total = VarSpace(n).one()
-    for c in range(m):
-        weight = mat[_vertex_entry(horizontal[c], above[c], horizontal[c + 1], below[c])]
+    weights = [mat[_vertex_entry(horizontal[c], above[c], horizontal[c + 1], below[c])]
+               for c in range(m)]
+    for c, weight in enumerate(weights):
         if not weight:
             raise ValueError(f"inadmissible vertex at row {r}, "
                              f"column label {m - 1 - c}")
-        total = total * weight
-    return total
+    return prod(weights, VarSpace(n))
 
 
 def state_weight(s: LatticeState) -> Polynomial:
@@ -388,7 +399,7 @@ def gt_to_state(g: GTPattern, b: BoundarySpec) -> LatticeState:
         raise ValueError(f"pattern rank {g.n} does not match boundary rank {b.n}")
     if g.rows and g.rows[0] != b.top_row():
         raise ValueError(f"top row must be lambda + rho = {b.top_row()}")
-    return _state_from_rows(b, g.rows)
+    return _state_from_rows(b, g.rows, {})
 
 
 def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -400,17 +411,30 @@ def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(spins)
 
 
-def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...]) -> LatticeState:
+def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...],
+                     memo: dict) -> LatticeState:
     """The state of the GT pattern `rows` (top row b.top_row()), below it all +.
 
     The ice rule forces each horizontal spin: the spin to its left times the
-    two vertical spins of the vertex between them.
+    two vertical spins of the vertex between them.  `memo` maps each GT row
+    of `b` to its vertical spins and each (above, below) pair of GT rows to
+    the horizontal spins between them; what it lacks is added to it.
     """
-    vertical = tuple(_row_spins(b, row) for row in rows + ((),))
-    left = b.left_spin
-    horizontal = tuple(tuple(accumulate(map(operator.mul, above, below), operator.mul,
-                                        initial=left))
-                       for above, below in zip(vertical, vertical[1:]))
+    rows += ((),)
+    vertical = []
+    for row in rows:
+        spins = memo.get(row)
+        if spins is None:
+            spins = memo[row] = _row_spins(b, row)
+        vertical.append(spins)
+    horizontal = []
+    for j, pair in enumerate(zip(rows, rows[1:])):
+        spins = memo.get(pair)
+        if spins is None:
+            spins = memo[pair] = tuple(accumulate(
+                map(operator.mul, vertical[j], vertical[j + 1]), operator.mul,
+                initial=b.left_spin))
+        horizontal.append(spins)
     return LatticeState(b, vertical, horizontal)
 
 

@@ -753,16 +753,18 @@ def _term_str(coeff: Coefficient, body: str) -> tuple[str, bool]:
 def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:
     """Product of an iterable of polynomials; empty product needs a space.
 
-    A given space must be the factors' own: the first factor is checked
-    against it, and each product checks the next factor against the first.
+    A given space must be the factors' own, else the first factor's space
+    is; each factor is checked against it, then multiplied in by ``_dot``.
     """
     result: Polynomial | None = None
     for f in factors:
         if result is None:
-            _check_space(space or f.space, (f,))
+            space = space or f.space
+            _check_space(space, (f,))
             result = f
         else:
-            result = result * f
+            _check_space(space, (f,))
+            result = _dot(space, ((result, f),))
     if result is None:
         if space is None:
             raise ValueError("empty product with no variable space")

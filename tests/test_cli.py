@@ -311,6 +311,19 @@ def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_state_limit_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    for text in ("abc", "1.5", ""):
+        monkeypatch.setenv("ICE_MAX_STATES", text)
+        code, out, err = run_cli(capsys, "states", "--kind", "gamma", "--lambda", "1,0")
+        assert (code, out) == (2, "")
+        assert err == f"error: ICE_MAX_STATES must be an integer, got {text!r}\n"
+    # an integer keeps its meaning: (1, 0) has three states
+    for text, code_wanted, lines in (("3", 0, 3), (" 3 ", 0, 3), ("2", 2, 2)):
+        monkeypatch.setenv("ICE_MAX_STATES", text)
+        code, out, err = run_cli(capsys, "states", "--kind", "gamma", "--lambda", "1,0")
+        assert (code, len(out.splitlines())) == (code_wanted, lines)
+
+
 @pytest.mark.parametrize("method", ["bialternant", "pattern"])
 def test_exponent_overflow_is_a_guard_violation(capsys, method):
     code, out, err = run_cli(capsys, "schur", "--lambda", "40000", "--method", method)

@@ -128,6 +128,30 @@ def test_brute_force_agrees_with_pattern_enumeration():
             assert set(enum) == set(brute)
 
 
+def state_without_memo(b, rows):
+    """The state of the GT pattern `rows`, spin by spin, sharing nothing."""
+    vertical = [[-1 if label in row else 1 for label in b.column_labels]
+                for row in rows + ((),)]
+    horizontal = []
+    for above, below in zip(vertical, vertical[1:]):
+        spins = [b.left_spin]
+        for north, south in zip(above, below):
+            spins.append(spins[-1] * north * south)
+        horizontal.append(spins)
+    return LatticeState(b, vertical, horizontal)
+
+
+@pytest.mark.parametrize("kind", list(IceKind))
+def test_enumerated_states_match_a_build_without_memo(kind):
+    for lam in BIJECTION_GRID + [(1, 1, 1, 0, 0)]:
+        b = BoundarySpec(kind, lam)
+        states = list(enumerate_states(b))
+        assert states == [state_without_memo(b, rows)
+                          for rows in gt_patterns(b.top_row(), True)]
+        if b.n <= 4:
+            assert sorted(states, key=repr) == sorted(brute_force_states(b), key=repr)
+
+
 def test_brute_force_size_guard():
     with pytest.raises(ValueError):
         list(brute_force_states(BoundarySpec(IceKind.GAMMA, (6, 0, 0))))
@@ -398,6 +422,16 @@ def test_state_json_round_trip():
                 text = json.dumps(s.to_json())
                 back = LatticeState.from_json(json.loads(text))
                 assert back == s and json.dumps(back.to_json()) == text
+
+
+def test_state_json_writes_int_spins():
+    good = next(iter(enumerate_states(BoundarySpec(IceKind.GAMMA, (1, 0)))))
+    text = json.dumps(good.to_json())
+    for plus, minus in ((True, -1), (1.0, -1.0)):
+        vertical = [[plus if spin == 1 else minus for spin in row] for row in good.vertical]
+        loose = LatticeState(good.boundary, vertical, good.horizontal)
+        assert loose == good
+        assert json.dumps(loose.to_json()) == text
 
 
 def test_state_from_json_refuses_spins_that_are_not_ints():

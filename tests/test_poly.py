@@ -2,13 +2,15 @@
 
 import contextlib
 import copy
+import functools
+import operator
 import pickle
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixvertex import poly
@@ -296,6 +298,7 @@ def mixed_space_builds():
         pytest.param(lambda: poly_sum([one.z(1), two.z(1)]), id="poly_sum"),
         pytest.param(lambda: poly_sum([two.z(1)], one), id="poly_sum-given-space"),
         pytest.param(lambda: prod([two.z(1)], one), id="prod-given-space"),
+        pytest.param(lambda: prod([one.z(1), two.z(1)]), id="prod-later-factor"),
         pytest.param(lambda: PolyMatrix([[one.one(), one.one()], [one.one(), two.one()]]),
                      id="PolyMatrix"),
         pytest.param(lambda: PolyMatrix.identity(one, 2) @ PolyMatrix.identity(two, 2),
@@ -436,6 +439,57 @@ def test_prod_empty_and_space_mismatch():
         prod([])
     with pytest.raises(ValueError):
         space.one() + VarSpace(2).one()
+
+
+@st.composite
+def factor_lists(draw):
+    """Up to five polynomials of one space, with rational and Gaussian coefficients."""
+    space = VarSpace(draw(st.integers(0, 2)))
+    monos = st.tuples(*[st.integers(0, 2)] * (2 * space.n))
+    coeffs = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                       st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1)))
+    terms = st.dictionaries(monos, coeffs, max_size=3)
+    return space, [Polynomial(space, draw(terms)) for _ in range(draw(st.integers(0, 5)))]
+
+
+def _cancelling_factors():
+    space = VarSpace(1)
+    z, t, i = space.z(1), space.t(1), space.const(IMAG)
+    return space, [z + t, z - t, z + i * t, z - i * t]
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists())
+@example(_cancelling_factors())
+def test_prod_matches_the_left_fold_of_products(drawn):
+    space, factors = drawn
+    folded = functools.reduce(operator.mul, factors) if factors else space.one()
+    for given_space in (space, None) if factors else (space,):
+        with counted_multiplies() as calls:
+            got = prod(iter(factors), given_space)
+        assert got == folded and stored_form(got) == stored_form(folded)
+        assert len(calls) == max(len(factors) - 1, 0)
+
+
+def test_prod_overflows_at_the_same_factor_as_the_fold():
+    space = VarSpace(2)
+    factors = [space.z(1, EXPONENT_LIMIT - 3) + space.t(2), space.z(1) - space.t(1),
+               space.z(1, 2), space.z(2), space.z(1)]
+
+    def drawn(seen):
+        for f in factors:
+            seen.append(f)
+            yield f
+
+    outcomes = []
+    for multiply in (lambda fs: functools.reduce(operator.mul, fs), prod):
+        seen = []
+        with pytest.raises(OverflowError) as info:
+            multiply(drawn(seen))
+        outcomes.append((len(seen), str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 3
 
 
 def test_exact_div_inverts_multiplication():
