@@ -40,6 +40,12 @@ def _row_label(kind: IceKind, n: int, r: int) -> int:
     return r + 1 if kind is IceKind.GAMMA else n - r
 
 
+def _plus_rho(lam: Sequence[int]) -> tuple[int, ...]:
+    """lambda + rho, the parts lambda_i + n - i, with rho = (n - 1, ..., 1, 0)."""
+    n = len(lam)
+    return tuple(p + n - 1 - i for i, p in enumerate(lam))
+
+
 def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Coerce to a tuple and reject anything not weakly decreasing >= 0."""
     lam = tuple(parts)
@@ -72,7 +78,7 @@ class BoundarySpec(Immutable):
 
     def top_row(self) -> tuple[int, ...]:
         """lambda + rho: the column labels that carry - on the top boundary."""
-        return tuple(p + self.n - 1 - i for i, p in enumerate(self.lam))
+        return _plus_rho(self.lam)
 
     def top_row_spins(self) -> tuple[int, ...]:
         return self._top_spins
@@ -454,9 +460,7 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
     above them, index k - 1; with per_row_t False every factor uses t_1.
     """
     lam = validate_partition(lam)
-    n = len(lam)
-    space = VarSpace(n)
-    top = tuple(p + n - 1 - i for i, p in enumerate(lam))
+    space = VarSpace(len(lam))
 
     def factor(j: int, above: tuple[int, ...], row: tuple[int, ...]) -> Polynomial:
         out = space.z(j + 1, sum(above) - sum(row))
@@ -468,7 +472,7 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
                 out = out * (t_var + space.one())
         return out
 
-    return row_sum(top, True, factor)
+    return row_sum(_plus_rho(lam), True, factor)
 
 
 def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:

@@ -288,6 +288,12 @@ def _require_exponent(power: object) -> None:
         raise ValueError("negative exponent")
 
 
+def _require_below_limit(exponent: int) -> None:
+    """The one rule for an exponent entering a polynomial: below EXPONENT_LIMIT."""
+    if exponent >= EXPONENT_LIMIT:
+        raise OverflowError(f"exponent {exponent} is at or above the limit {EXPONENT_LIMIT}")
+
+
 def _binary_powers(base, exponent: int) -> list:
     """The factors of base**exponent by repeated squaring: the squares
     base^(2^k) at the exponent's set bits, all squared before any of them
@@ -359,8 +365,7 @@ class VarSpace(Immutable):
         _require_exponent(power)
         if power == 0:
             return self.one()
-        if power >= EXPONENT_LIMIT:
-            raise OverflowError(f"exponent {power} is at or above the limit {EXPONENT_LIMIT}")
+        _require_below_limit(power)
         return Polynomial._raw(self, {(power << self._shift) | (power << offset): 1})
 
     # -- packed monomials --------------------------------------------------
@@ -383,9 +388,7 @@ class VarSpace(Immutable):
         exps = [operator.index(e) for e in mono]
         if len(exps) != 2 * self.n or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {mono} for rank {self.n}")
-        if any(e >= EXPONENT_LIMIT for e in exps):
-            raise OverflowError(f"exponent vector {mono} has an exponent at or above "
-                                f"the limit {EXPONENT_LIMIT}")
+        _require_below_limit(max(exps, default=0))
         return self._key(exps)
 
     def _unpack(self, key: int) -> Monomial:
@@ -611,6 +614,8 @@ class Polynomial(Immutable):
         ``sigma`` is 1-based: ``sigma[i-1]`` is the image of index ``i``.
         """
         n = self.n
+        for image in sigma:
+            _require_int(image, "permutation entry")
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {sigma}")
         source = [0] * (2 * n)  # source[k]: old field that moves to field k

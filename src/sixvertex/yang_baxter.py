@@ -140,6 +140,7 @@ def report(check: str, outcome: PolyMatrix | Polynomial | bool,
 
 def check_ice_commutator(x: IceKind, y: IceKind) -> dict:
     """Verifies [[R_XY(1,2), X(1), Y(2)]] = 0 symbolically."""
+    x, y = IceKind(x), IceKind(y)
     space = VarSpace(2)
     r = r_weights(space, x, y, 1, 2)
     residual = yb_commutator(r.end2(),
@@ -159,6 +160,7 @@ def _ybe_residual(f12: Family, f13: Family, f23: Family) -> PolyMatrix:
 def check_parametrized_ybe(x: IceKind, y: IceKind, z: IceKind,
                            hat: bool = False) -> dict:
     """Verifies [[R_XY(1,2), R_XZ(1,3), R_YZ(2,3)]] = 0, plainly or hatted."""
+    x, y, z = IceKind(x), IceKind(y), IceKind(z)
     residual = _ybe_residual(*_families(((x, y), (x, z), (y, z)), hat))
     tag = " hatted" if hat else ""
     return report(f"ybe {x.value},{y.value},{z.value}{tag}", residual)
@@ -240,6 +242,7 @@ def check_yb_system(x: IceKind, y: IceKind, hat: bool = False) -> list[dict]:
     """Verifies the eight Yang-Baxter system axioms for A = R_XX, B = C^dd,
     C = R_XY and D = R_YY^dd, hat-swapped first when requested.  As B^dd is C
     and C^dd is B, the axioms state four identities, each computed once."""
+    x, y = IceKind(x), IceKind(y)
     a, c, d = _families(((x, x), (x, y), (y, y)), hat)
     roles = {"A": a, "B": ddagger(c), "C": c, "D": ddagger(d)}
     residuals = {identity: _ybe_residual(*(roles[role] for role in identity))

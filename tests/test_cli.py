@@ -326,9 +326,13 @@ def test_state_limit_that_is_not_an_integer_is_named(capsys, monkeypatch):
 
 @pytest.mark.parametrize("method", ["bialternant", "pattern"])
 def test_exponent_overflow_is_a_guard_violation(capsys, method):
-    code, out, err = run_cli(capsys, "schur", "--lambda", "40000", "--method", method)
-    assert (code, out) == (2, "")
-    assert err == "error: exponent 40000 is at or above the limit 32768\n"
+    # at (40000, 0) the bialternant's largest exponent is lambda_1 + 1, from
+    # lambda + rho, and the pattern sum's is lambda_1
+    for lam, exponent in (("40000", 40000),
+                          ("40000,0", 40001 if method == "bialternant" else 40000)):
+        code, out, err = run_cli(capsys, "schur", "--lambda", lam, "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: exponent {exponent} is at or above the limit 32768\n"
 
 
 # Run in a fresh interpreter with -S (no site-packages) and -I (no

@@ -602,6 +602,11 @@ def test_permute_rank_variables():
         assert q.permute_rank_variables([1, 2]) == q
     with pytest.raises(ValueError):
         p.permute_rank_variables([1, 1])
+    # an entry follows the integer-argument rule before the permutation check
+    for sigma in ([True, 2], [1.0, 2]):
+        message = re.escape(f"permutation entry must be an int, got {sigma[0]!r}")
+        with pytest.raises(TypeError, match=message):
+            p.permute_rank_variables(sigma)
 
 
 def test_degrees_and_t_detection():
@@ -755,6 +760,14 @@ def test_exponent_overflow_raises():
         Polynomial(space, {(limit, 0, 0, 0): ONE})
     with pytest.raises(OverflowError):
         Polynomial(space, {(0, 0, 0, limit + 5): ONE})
+    # an exponent entering by the constructor, from JSON or by z has one message
+    message = re.escape(f"exponent 40000 is at or above the limit {limit}")
+    for make in (lambda: Polynomial(space, {(0, 40000, 0, 0): ONE}),
+                 lambda: Polynomial.from_json({"n": 1, "terms": [
+                     {"z": [40000], "t": [0], "re": "1", "im": "0"}]}),
+                 lambda: space.z(2, 40000)):
+        with pytest.raises(OverflowError, match=message):
+            make()
     with pytest.raises(OverflowError):
         space.z(1, limit)
     with pytest.raises(OverflowError):

@@ -37,10 +37,27 @@ def test_small_schur_values():
     assert schur_bialternant((2, 0)) == z1 * z1 + z1 * z2 + z2 * z2
 
 
+# the rank-5 partitions of the benchmark's divide workload, and one of rank 6
+LARGER_PARTITIONS = ((1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (2, 1, 0, 0, 0),
+                     (2, 2, 2, 1, 0), (3, 0, 0, 0, 0), (3, 3, 3, 3, 0),
+                     (2, 1, 0, 0, 0, 0))
+
+
 def test_methods_agree_on_small_grid():
     for n in range(5):
         for lam in combinations_with_replacement(range(4, -1, -1), n):
             assert schur_bialternant(lam) == schur_pattern_sum(lam)
+    for lam in LARGER_PARTITIONS:
+        assert schur_bialternant(lam) == schur_pattern_sum(lam)
+
+
+def test_alternant_of_rho_is_the_vandermonde():
+    for n in range(7):
+        space = VarSpace(n)
+        vandermonde = prod((space.z(i) - space.z(j)
+                            for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+                           space)
+        assert schur._alternant(space, tuple(range(n - 1, -1, -1))) == vandermonde
 
 
 def pattern_monomial(space, rows):

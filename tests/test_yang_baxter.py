@@ -211,6 +211,19 @@ def test_yb_system_reports():
     assert all(" hatted " in rep["check"] for rep in hatted_reports)
 
 
+def test_checks_take_a_kind_as_its_string():
+    g, d = IceKind.GAMMA, IceKind.DELTA
+    assert check_ice_commutator("gamma", "delta") == check_ice_commutator(g, d)
+    assert check_parametrized_ybe("gamma", "gamma", "delta", hat=True) \
+        == check_parametrized_ybe(g, g, d, hat=True)
+    assert check_yb_system("gamma", "delta") == check_yb_system(g, d)
+    for check, args in ((check_ice_commutator, ("g", "delta")),
+                        (check_parametrized_ybe, ("gamma", "g", "delta")),
+                        (check_yb_system, ("gamma", "g"))):
+        with pytest.raises(ValueError, match="'g' is not a valid IceKind"):
+            check(*args)
+
+
 def test_yb_system_computes_each_identity_once(monkeypatch):
     # B^dd is C and C^dd is B, so the eight axioms are four identities
     calls = []
