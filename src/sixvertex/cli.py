@@ -158,8 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: its handlers look up checks.* and partition_function per call.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, RuntimeError, OverflowError) as exc:

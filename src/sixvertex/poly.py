@@ -658,6 +658,10 @@ class Polynomial(Immutable):
         terms: dict[Monomial, GaussianRational] = {}
         for term in data["terms"]:
             mono = tuple(term["z"]) + tuple(term["t"])
+            for part in ("re", "im"):
+                if not isinstance(term[part], str):
+                    raise TypeError(f"coefficient part {part!r} must be a string, "
+                                    f"got {term[part]!r}")
             coeff = GaussianRational(term["re"], term["im"])
             if mono in terms:
                 raise ValueError(f"duplicate monomial {mono}")

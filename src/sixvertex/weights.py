@@ -16,10 +16,11 @@ c1*c2 != 0; type D has c1 = c2 = 0 and d1*d2 != 0.  The pi map linearizes
 composition: pi(compose(R, T)) = pi(R) @ pi(T), with the four type-pair
 case tables C.C -> C, C.D -> D, D.C -> D, D.D -> C.
 
-Two printed sources for the Delta-Delta weights disagree on which entries
-carry the c-type values; the entries used here are the ones that make the
-Yang-Baxter commutator with two Delta vertices vanish identically, which
-pins the layout uniquely.
+The R-matrix families come from the group law alone: R_XY(a, b) is
+X(a) composed with the scaled inverse of Y(b), signed so that
+pi(R_XY(a, b)) @ pi(Y(b)) = z_b (1 + t_b) pi(X(a)) for either kind of Y.
+The four printed kind-pair tables are kept only in the tests, as the
+oracle these products must equal.
 """
 
 from __future__ import annotations
@@ -111,44 +112,36 @@ class VertexWeights(Immutable):
         return w
 
 
+def _ice(kind: IceKind, z: Polynomial, t: Polynomial) -> VertexWeights:
+    """The ice rule at any parameter pair (z, t): Gamma (1, z, t, z, z(t+1), 1)
+    or Delta (z, 1, zt, 1; d1=1, d2=z(t+1))."""
+    one = z.space.one()
+    if kind == IceKind.GAMMA:
+        return VertexWeights.type_c(one, z, t, z, z * (t + 1), one)
+    return VertexWeights.type_d(z, one, z * t, one, one, z * (t + 1))
+
+
 def gamma(space: VarSpace, i: int) -> VertexWeights:
     """Gamma ice weights for lattice row i: (1, z, t, z, z(t+1), 1)."""
-    z, t = space.z(i), space.t(i)
-    one = space.one()
-    return VertexWeights.type_c(one, z, t, z, z * (t + 1), one)
+    return _ice(IceKind.GAMMA, space.z(i), space.t(i))
 
 
 def delta(space: VarSpace, i: int) -> VertexWeights:
     """Delta ice weights for lattice row i: (z, 1, zt, 1; d1=1, d2=z(t+1))."""
-    z, t = space.z(i), space.t(i)
-    one = space.one()
-    return VertexWeights.type_d(z, one, z * t, one, one, z * (t + 1))
+    return _ice(IceKind.DELTA, space.z(i), space.t(i))
 
 
 def r_weights_params(x: IceKind, y: IceKind,
                      za: Polynomial, ta: Polynomial,
                      zb: Polynomial, tb: Polynomial) -> VertexWeights:
-    """R-matrix weights for the (x, y) family at parameter pairs (za, ta), (zb, tb)."""
+    """R-matrix weights for the (x, y) family at parameter pairs (za, ta), (zb, tb):
+    X(a) composed with the scaled inverse of Y(b), so that
+    pi(R) @ pi(Y(b)) = zb (1 + tb) pi(X(a))."""
     x, y = IceKind(x), IceKind(y)
-    if x == IceKind.GAMMA and y == IceKind.GAMMA:
-        return VertexWeights.type_c(
-            zb + tb * za, za + ta * zb,
-            ta * zb - tb * za, za - zb,
-            za * (ta + 1), zb * (tb + 1))
-    if x == IceKind.DELTA and y == IceKind.DELTA:
-        return VertexWeights.type_c(
-            za * ta + zb, zb * tb + za,
-            za - zb, zb * tb - za * ta,
-            zb * tb + zb, za * ta + za)
-    if x == IceKind.GAMMA and y == IceKind.DELTA:
-        return VertexWeights.type_d(
-            -za + ta * tb * zb, za - zb,
-            zb * tb + za, zb * ta + za,
-            za * ta + za, zb * tb + zb)
-    return VertexWeights.type_d(
-        za - zb, zb - ta * tb * za,
-        za * ta + zb, za * tb + zb,
-        zb * tb + zb, za * ta + za)
+    inverse = inverse_scaled(_ice(y, zb, tb))[0]
+    if y == IceKind.DELTA:  # a type-D inverse carries the scalar -(d1 d2)
+        inverse = VertexWeights(*(-getattr(inverse, f) for f in VertexWeights._FIELDS))
+    return compose(_ice(x, za, ta), inverse)
 
 
 def r_weights(space: VarSpace, x: IceKind, y: IceKind, i: int, j: int) -> VertexWeights:
@@ -159,7 +152,7 @@ def r_weights(space: VarSpace, x: IceKind, y: IceKind, i: int, j: int) -> Vertex
 
 
 def ice_weights(space: VarSpace, kind: IceKind, i: int) -> VertexWeights:
-    return gamma(space, i) if IceKind(kind) == IceKind.GAMMA else delta(space, i)
+    return _ice(IceKind(kind), space.z(i), space.t(i))
 
 
 def free_fermion(w: VertexWeights) -> Polynomial:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sixvertex import checks, schur
+from sixvertex import checks, cli, schur
 from sixvertex.cli import main
 from sixvertex.poly import Polynomial
 from sixvertex.yang_baxter import report
@@ -300,6 +300,15 @@ def test_failed_check_prints_sorted_lines_witness_and_exits_one(capsys, monkeypa
     assert out.splitlines() == ['FAIL z failing check witness={"a": [2], "z": 1}',
                                 "PASS a passing check",
                                 "1/2 checks passed"]
+
+
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the parser is rebuilt per call")
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    code, out, err = run_cli(capsys, "verify", "triangularity")
+    assert (code, err) == (0, "")
+    assert out.endswith(" checks passed\n")
 
 
 def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):

@@ -694,6 +694,11 @@ def test_json_round_trip():
         with pytest.raises(TypeError):
             Polynomial.from_json({"n": n, "terms": [
                 {"z": z, "t": [0], "re": "1", "im": "0"}]})
+    # coefficient parts are strings, as to_json writes them, not read through Fraction()
+    for re_part, im_part in ((True, "0"), (1, "0"), (1.5, "0"), ("1", False)):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"n": 1, "terms": [
+                {"z": [1], "t": [0], "re": re_part, "im": im_part}]})
 
 
 def test_polynomial_validation_and_immutability():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,78 @@ def test_r_weights_requires_distinct_rows():
     space = VarSpace(2)
     with pytest.raises(ValueError):
         r_weights(space, IceKind.GAMMA, IceKind.GAMMA, 1, 1)
+
+
+# The four printed R-matrix families, weight for weight: the oracle that
+# r_weights_params, built by the group law, must equal.
+PRINTED_R = {
+    (IceKind.GAMMA, IceKind.GAMMA): lambda za, ta, zb, tb: VertexWeights.type_c(
+        zb + tb * za, za + ta * zb,
+        ta * zb - tb * za, za - zb,
+        za * (ta + 1), zb * (tb + 1)),
+    (IceKind.DELTA, IceKind.DELTA): lambda za, ta, zb, tb: VertexWeights.type_c(
+        za * ta + zb, zb * tb + za,
+        za - zb, zb * tb - za * ta,
+        zb * tb + zb, za * ta + za),
+    (IceKind.GAMMA, IceKind.DELTA): lambda za, ta, zb, tb: VertexWeights.type_d(
+        -za + ta * tb * zb, za - zb,
+        zb * tb + za, zb * ta + za,
+        za * ta + za, zb * tb + zb),
+    (IceKind.DELTA, IceKind.GAMMA): lambda za, ta, zb, tb: VertexWeights.type_d(
+        za - zb, zb - ta * tb * za,
+        za * ta + zb, za * tb + zb,
+        zb * tb + zb, za * ta + za),
+}
+
+
+def printed_ice(kind, z, t):
+    """Gamma (1, z, t, z, z(t+1), 1) or Delta (z, 1, zt, 1; 1, z(t+1)) at (z, t)."""
+    one = z.space.one()
+    if kind == IceKind.GAMMA:
+        return VertexWeights.type_c(one, z, t, z, z * (t + 1), one)
+    return VertexWeights.type_d(z, one, z * t, one, one, z * (t + 1))
+
+
+def r_matrix_points():
+    """Parameter pairs (za, ta, zb, tb): rows, hatted orders and rank-0 numbers."""
+    points = []
+    for n in (2, 3):
+        s = VarSpace(n)
+        points += [(s.z(1), s.t(1), s.z(2), s.t(2)), (s.z(2), s.t(1), s.z(1), s.t(2))]
+    s = VarSpace(3)
+    points.append((s.z(3), s.t(2), s.z(1), s.t(3)))
+    c = VarSpace(0).const
+    points += [(c(2), c(3), c(5), c(7)),
+               (c(Fraction(1, 3)), c(2), c(-4), c(Fraction(5, 2))),
+               (c(IMAG), c(1), c(2), c(3)),
+               (c(2), c(IMAG), c(3), c(-2 * IMAG))]
+    return points
+
+
+def test_r_families_equal_the_printed_tables():
+    c = VarSpace(0).const
+    zero_point = (c(0), c(1), c(2), c(3))
+    for x in IceKind:
+        for y in IceKind:
+            for point in r_matrix_points():
+                got, want = r_weights_params(x, y, *point), PRINTED_R[x, y](*point)
+                assert got == want
+                assert got.to_json() == want.to_json()
+            # a zero parameter leaves neither type, on both paths
+            with pytest.raises(ValueError, match="neither type C nor type D"):
+                r_weights_params(x, y, *zero_point)
+            with pytest.raises(ValueError, match="neither type C nor type D"):
+                PRINTED_R[x, y](*zero_point)
+
+
+def test_r_families_follow_the_group_law():
+    # pi(R_XY(a, b)) @ pi(Y(b)) = zb (1 + tb) pi(X(a)) for both kinds of Y
+    for x in IceKind:
+        for y in IceKind:
+            for za, ta, zb, tb in r_matrix_points():
+                r = r_weights_params(x, y, za, ta, zb, tb)
+                assert (pi_map(r) @ pi_map(printed_ice(y, zb, tb))
+                        == pi_map(printed_ice(x, za, ta)).scale(zb * (tb + 1)))
 
 
 def test_free_fermion_on_weight_families():
