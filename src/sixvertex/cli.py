@@ -20,8 +20,7 @@ from .lattice import (BoundarySpec, enumerate_states, partition_function,
 from .schur import schur_bialternant, schur_pattern_sum
 from .weights import IceKind
 
-_KIND_NAMES = {"g": IceKind.GAMMA, "gamma": IceKind.GAMMA,
-               "d": IceKind.DELTA, "delta": IceKind.DELTA}
+_KIND_NAMES = {name: kind for kind in IceKind for name in (kind.value, kind.value[0])}
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -84,77 +83,53 @@ def _cmd_states(args: argparse.Namespace) -> int:
     return 0
 
 
+# a command is (name, help, handler, *options); a verify command's handler returns reports
+_KIND = ("--kind", dict(choices=("gamma", "delta"), required=True))
+_LAMBDA = ("--lambda", dict(dest="lam", type=_partition_arg, required=True))
+_HATTED = ("--hatted", dict(action="store_true"))
+_COMMANDS = (
+    ("zfun", "partition function for a boundary", _cmd_zfun, _KIND, _LAMBDA,
+     ("--format", dict(choices=("json", "text"), default="text"))),
+    ("schur", "Schur polynomial", _cmd_schur, _LAMBDA,
+     ("--method", dict(choices=("bialternant", "pattern"), default="bialternant"))),
+    ("states", "enumerate lattice states", _cmd_states, _KIND, _LAMBDA,
+     ("--gt", dict(action="store_true", help="print patterns instead of edge grids"))),
+)
+_VERIFY_COMMANDS = (
+    ("ybe", "Yang-Baxter commutator checks", lambda a: checks.ybe(a.kinds, (a.hatted,)),
+     ("--kinds", dict(type=_kinds_arg,
+                      help="three ice kinds, e.g. GGD or gamma,gamma,delta")), _HATTED),
+    ("tokuyama", "deformed pattern-sum checks", lambda a: checks.tokuyama(a.lam), _LAMBDA),
+    ("statement-b", "cross-kind partition-function identity",
+     lambda a: checks.statement_b(a.lam), _LAMBDA),
+    ("group-law", "composition group-law checks", lambda a: checks.group_law(a.samples, a.seed),
+     ("--samples", dict(type=int, default=100)), ("--seed", dict(type=int, default=0))),
+    ("yb-system", "eight-axiom system checks",
+     lambda a: checks.yb_system([(IceKind(a.x), IceKind(a.y))], (a.hatted,)),
+     ("--x", _KIND[1]), ("--y", _KIND[1]), _HATTED),
+    ("triangularity", "projective inverse scalar checks", lambda a: checks.triangularity()),
+    ("transfer-commute", "row-transfer commutation checks",
+     lambda a: checks.transfer_commute(a.cols), ("--cols", dict(type=int, default=4))),
+    ("all", "the complete verification suite",
+     lambda a: [r for group in checks.suite(a.max_n, a.max_part).values() for r in group],
+     ("--max-n", dict(type=int, default=4)), ("--max-part", dict(type=int, default=4))),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sixvertex",
-        description="Exact six/eight-vertex computations and verification.")
+    def add_commands(sub, commands, wrap=lambda handler: handler) -> None:
+        for name, help_text, handler, *options in commands:
+            command = sub.add_parser(name, help=help_text)
+            for flag, keywords in options:
+                command.add_argument(flag, **keywords)
+            command.set_defaults(handler=wrap(handler))
+    parser = argparse.ArgumentParser(prog="sixvertex", description=(
+        "Exact six/eight-vertex computations and verification."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    zfun = sub.add_parser("zfun", help="partition function for a boundary")
-    zfun.add_argument("--kind", choices=("gamma", "delta"), required=True)
-    zfun.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    zfun.add_argument("--format", choices=("json", "text"), default="text")
-    zfun.set_defaults(handler=_cmd_zfun)
-
-    schur = sub.add_parser("schur", help="Schur polynomial")
-    schur.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    schur.add_argument("--method", choices=("bialternant", "pattern"),
-                       default="bialternant")
-    schur.set_defaults(handler=_cmd_schur)
-
-    states = sub.add_parser("states", help="enumerate lattice states")
-    states.add_argument("--kind", choices=("gamma", "delta"), required=True)
-    states.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    states.add_argument("--gt", action="store_true",
-                        help="print patterns instead of edge grids")
-    states.set_defaults(handler=_cmd_states)
-
+    add_commands(sub, _COMMANDS)
     verify = sub.add_parser("verify", help="run verification checks")
-    vsub = verify.add_subparsers(dest="verify_command", required=True)
-
-    ybe = vsub.add_parser("ybe", help="Yang-Baxter commutator checks")
-    ybe.add_argument("--kinds", type=_kinds_arg, default=None,
-                     help="three ice kinds, e.g. GGD or gamma,gamma,delta")
-    ybe.add_argument("--hatted", action="store_true")
-    ybe.set_defaults(handler=lambda a: _finish(checks.ybe(a.kinds, (a.hatted,))))
-
-    tokuyama = vsub.add_parser("tokuyama", help="deformed pattern-sum checks")
-    tokuyama.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    tokuyama.set_defaults(handler=lambda a: _finish(checks.tokuyama(a.lam)))
-
-    statement_b = vsub.add_parser("statement-b",
-                                  help="cross-kind partition-function identity")
-    statement_b.add_argument("--lambda", dest="lam", type=_partition_arg,
-                             required=True)
-    statement_b.set_defaults(handler=lambda a: _finish(checks.statement_b(a.lam)))
-
-    group_law = vsub.add_parser("group-law", help="composition group-law checks")
-    group_law.add_argument("--samples", type=int, default=100)
-    group_law.add_argument("--seed", type=int, default=0)
-    group_law.set_defaults(handler=lambda a: _finish(checks.group_law(a.samples, a.seed)))
-
-    yb_system = vsub.add_parser("yb-system", help="eight-axiom system checks")
-    yb_system.add_argument("--x", choices=("gamma", "delta"), required=True)
-    yb_system.add_argument("--y", choices=("gamma", "delta"), required=True)
-    yb_system.add_argument("--hatted", action="store_true")
-    yb_system.set_defaults(handler=lambda a: _finish(checks.yb_system(
-        [(IceKind(a.x), IceKind(a.y))], (a.hatted,))))
-
-    triangularity = vsub.add_parser("triangularity",
-                                    help="projective inverse scalar checks")
-    triangularity.set_defaults(handler=lambda a: _finish(checks.triangularity()))
-
-    transfer = vsub.add_parser("transfer-commute",
-                               help="row-transfer commutation checks")
-    transfer.add_argument("--cols", type=int, default=4)
-    transfer.set_defaults(handler=lambda a: _finish(checks.transfer_commute(a.cols)))
-
-    verify_all = vsub.add_parser("all", help="the complete verification suite")
-    verify_all.add_argument("--max-n", type=int, default=4)
-    verify_all.add_argument("--max-part", type=int, default=4)
-    verify_all.set_defaults(handler=lambda a: _finish(
-        [r for group in checks.suite(a.max_n, a.max_part).values() for r in group]))
-
+    add_commands(verify.add_subparsers(dest="verify_command", required=True),
+                 _VERIFY_COMMANDS, lambda run: lambda args: _finish(run(args)))
     return parser
 
 

@@ -476,17 +476,10 @@ class Polynomial(Immutable):
         return Polynomial._raw(self.space, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._operand(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return -other
-        terms = dict(self._terms)
-        _accumulate(terms, other._terms, subtract=True)
-        return Polynomial._raw(self.space, terms)
+        return self + -self._operand(other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._operand(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -709,21 +702,20 @@ def _dot(space: VarSpace,
     return Polynomial._raw(space, terms)
 
 
-def _accumulate(terms: dict, addend: Mapping, subtract: bool = False) -> None:
-    """Add `addend` into `terms` in place, or subtract it; drops zeros.
+def _accumulate(terms: dict, addend: Mapping) -> None:
+    """Add `addend` into `terms` in place; drops zeros.
 
     Neither map holds a zero coefficient.  A monomial new to `terms` takes
-    the addend's coefficient, negated when subtracting, so only a monomial
-    in both maps costs an addition.
+    the addend's coefficient, so only a monomial in both maps costs an
+    addition.
     """
-    op = operator.sub if subtract else operator.add
     get = terms.get
     for mono, coeff in addend.items():
         acc = get(mono)
         if acc is None:
-            terms[mono] = -coeff if subtract else coeff
+            terms[mono] = coeff
         else:
-            acc = op(acc, coeff)
+            acc += coeff
             if acc:
                 terms[mono] = acc
             else:

@@ -20,22 +20,38 @@ from .lattice import (BoundarySpec, _plus_rho, partition_function, row_sum,
 from .poly import Polynomial, VarSpace, prod
 from .weights import IceKind
 
-# each alternant has n! terms: at lambda = 0, rank 9 takes 8 s and 207 MiB on a
-# 2-vCPU VM and each further rank multiplies the time by about the rank; the
-# division costs about (quotient terms) x n!, so the time also grows with lambda
+# each alternant has n! terms: at lambda = 0, rank 9 takes 8-12 s and 207 MiB on a
+# 2-vCPU VM and each further rank multiplies the time by about the rank
 MAX_BIALTERNANT_RANK = 9
+# the division costs about (quotient terms) x n!, and the Weyl dimension bounds
+# the quotient terms: on a 2-vCPU VM a work of 11,854,080 (rank 7) takes 4-5 s and
+# 99 MiB, and 216,760,320 (rank 8, lambda=(3,2,1,0,...)) took 118 s and 1.3 GiB
+MAX_BIALTERNANT_WORK = 5 * 10**7
+
+
+def _weyl_dimension(lam: tuple[int, ...]) -> int:
+    """prod_{i<j} (lam_i - lam_j + j - i) / (j - i): the number of weak GT patterns."""
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    return (math.prod(lam[i] - lam[j] + j - i for i, j in pairs)
+            // math.prod(j - i for i, j in pairs))
 
 
 def schur_bialternant(lam: Sequence[int]) -> Polynomial:
     """The alternant of lambda + rho divided by the alternant of rho.
 
-    Ranks above MAX_BIALTERNANT_RANK raise ValueError before any term is built.
+    Ranks above MAX_BIALTERNANT_RANK, and a work of (Weyl dimension) x n! above
+    MAX_BIALTERNANT_WORK, raise ValueError before any term is built.
     """
     lam = validate_partition(lam)
     n = len(lam)
     if n > MAX_BIALTERNANT_RANK:
         raise ValueError(f"the bialternant of rank {n} sums {math.factorial(n)} "
                          f"signed terms; the limit is rank {MAX_BIALTERNANT_RANK}")
+    dimension = _weyl_dimension(lam)
+    work = dimension * math.factorial(n)
+    if work > MAX_BIALTERNANT_WORK:
+        raise ValueError(f"the bialternant of rank {n} has work {work} (Weyl "
+                         f"dimension {dimension} x {n}!); the limit is {MAX_BIALTERNANT_WORK}")
     return _schur_bialternant(lam)
 
 

@@ -12,6 +12,7 @@ import pytest
 from sixvertex import checks, cli, schur
 from sixvertex.cli import main
 from sixvertex.poly import Polynomial
+from sixvertex.weights import IceKind
 from sixvertex.yang_baxter import report
 
 
@@ -289,6 +290,68 @@ def test_rank_ten_bialternant_is_refused_before_building(capsys, monkeypatch):
     assert err.startswith("error: the bialternant of rank 10 sums 3628800 signed terms")
     code, out, _ = run_cli(capsys, "schur", "--lambda", eleven, "--method", "pattern")
     assert (code, out) == (0, "1\n")
+
+
+def test_bialternant_work_guard_fires_before_building(capsys, monkeypatch):
+    # rank 8 passes the rank guard, but its Weyl dimension x 8! is over the limit
+    def refuse(*args):
+        raise AssertionError("work started before the work guard")
+
+    monkeypatch.setattr(schur, "_schur_bialternant", refuse)
+    monkeypatch.setattr(checks, "partition_function", refuse)
+    lam = "3,2,1,0,0,0,0,0"
+    err = ("error: the bialternant of rank 8 has work 216760320 (Weyl dimension 5376 x 8!); "
+           "the limit is 50000000\n")
+    for argv in (("schur", "--lambda", lam), ("verify", "tokuyama", "--lambda", lam)):
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_lambda_is_parsed_alike_by_every_command(capsys):
+    errors = set()
+    for argv in (("zfun", "--kind", "gamma"), ("schur",), ("states", "--kind", "gamma"),
+                 ("verify", "tokuyama"), ("verify", "statement-b")):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--lambda", "1,,0"])
+        assert info.value.code == 2
+        errors.add(capsys.readouterr().err.splitlines()[-1].partition(": error: ")[2])
+    assert errors == {"argument --lambda: not a comma-separated partition: '1,,0'"}
+
+
+def test_every_verify_command_prints_its_reports_through_finish(capsys, monkeypatch):
+    # each checks entry point returns the same reports, so no real check runs
+    _refuse_lattice(monkeypatch)
+    _refuse_draws(monkeypatch)
+    reports = [report("b sentinel", True), report("a sentinel", False, {"k": 1})]
+    calls, finished, finish = [], [], cli._finish
+
+    def entry(name):
+        def run(*args):
+            calls.append((name, args))
+            return {"group": list(reports)} if name == "suite" else list(reports)
+        return run
+
+    for name in ("ybe", "tokuyama", "statement_b", "group_law", "yb_system",
+                 "triangularity", "transfer_commute", "suite"):
+        monkeypatch.setattr(checks, name, entry(name))
+    monkeypatch.setattr(cli, "_finish", lambda reps: finished.append(reps) or finish(reps))
+    gamma, delta = IceKind.GAMMA, IceKind.DELTA
+    for argv, call in (
+            (("ybe", "--kinds", "GGD", "--hatted"), ("ybe", ((gamma, gamma, delta), (True,)))),
+            (("tokuyama", "--lambda", "2,1,0"), ("tokuyama", ((2, 1, 0),))),
+            (("statement-b", "--lambda", "1,0"), ("statement_b", ((1, 0),))),
+            (("group-law", "--samples", "3", "--seed", "5"), ("group_law", (3, 5))),
+            (("yb-system", "--x", "gamma", "--y", "delta"),
+             ("yb_system", ([(gamma, delta)], (False,)))),
+            (("triangularity",), ("triangularity", ())),
+            (("transfer-commute", "--cols", "3"), ("transfer_commute", (3,))),
+            (("all", "--max-n", "2", "--max-part", "1"), ("suite", (2, 1)))):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == ['FAIL a sentinel witness={"k": 1}', "PASS b sentinel",
+                                    "1/2 checks passed"]
+        assert (calls, finished) == ([call], [reports])
+        calls.clear()
+        finished.clear()
 
 
 def test_failed_check_prints_sorted_lines_witness_and_exits_one(capsys, monkeypatch):

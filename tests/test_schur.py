@@ -1,6 +1,7 @@
 """Tests for Schur polynomials and the deformed denominators."""
 
 from itertools import combinations_with_replacement, permutations
+from math import factorial
 
 import pytest
 
@@ -27,6 +28,31 @@ def test_bialternant_rank_guard_fires_before_any_term(monkeypatch):
         schur_bialternant((0,) * 10)
     monkeypatch.setattr(schur, "_schur_bialternant", lambda lam: lam)
     assert schur_bialternant((0,) * 9) == (0,) * 9
+
+
+def test_weyl_dimension_counts_the_weak_patterns():
+    for lam in _partition_grid(4, 4) + list(_SPOT_CHECKS):
+        assert schur._weyl_dimension(lam) == sum(1 for _ in gt_patterns(lam, False)), lam
+
+
+def test_bialternant_work_guard_fires_before_any_term(monkeypatch):
+    # (Weyl dimension) x n! bounds the division: 5376 x 8! is refused, while
+    # 1764 x 7! and rank 9 at lambda = 0 (1 x 9!) stay admitted
+    def refuse(lam):
+        raise AssertionError("bialternant terms built")
+
+    monkeypatch.setattr(schur, "_schur_bialternant", refuse)
+    with pytest.raises(ValueError) as info:
+        schur_bialternant((3, 2, 1, 0, 0, 0, 0, 0))
+    assert str(info.value) == ("the bialternant of rank 8 has work 216760320 "
+                               "(Weyl dimension 5376 x 8!); the limit is 50000000")
+    # the rank guard still runs first
+    with pytest.raises(ValueError, match="rank 10 sums 3628800 signed terms"):
+        schur_bialternant((5, 4, 3, 2, 1, 0, 0, 0, 0, 0))
+    monkeypatch.setattr(schur, "_schur_bialternant", lambda lam: lam)
+    for lam in ((3, 2, 1, 0, 0, 0, 0), (0,) * 9):
+        assert schur._weyl_dimension(lam) * factorial(len(lam)) <= schur.MAX_BIALTERNANT_WORK
+        assert schur_bialternant(lam) == lam
 
 
 def test_small_schur_values():
