@@ -476,7 +476,23 @@ class Polynomial(Immutable):
         return Polynomial._raw(self.space, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + -self._operand(other)
+        # negates the other operand's coefficients as it merges them
+        other = self._operand(other)
+        if not other._terms:
+            return self
+        terms = dict(self._terms)
+        get = terms.get
+        for mono, coeff in other._terms.items():
+            acc = get(mono)
+            if acc is None:
+                terms[mono] = -coeff
+            else:
+                acc -= coeff
+                if acc:
+                    terms[mono] = acc
+                else:
+                    del terms[mono]
+        return Polynomial._raw(self.space, terms)
 
     def __rsub__(self, other) -> "Polynomial":
         return -self + other
@@ -523,10 +539,13 @@ class Polynomial(Immutable):
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self/divisor; raises if the division leaves a remainder.
 
-        Sparse division with the remainder's monomials in a max-heap (Johnson
-        1974; Monagan & Pearce 2011): each step pops the largest remainder
-        monomial and cancels it with one quotient term.  A monomial whose
-        coefficient cancelled stays in the heap and is skipped when popped.
+        Sparse division after Johnson (1974) and Monagan & Pearce (2011):
+        each step takes the largest remainder monomial and cancels it with
+        one quotient term.  The dividend's monomials are sorted once and read
+        as a descending stream; a max-heap holds only the monomials that a
+        product adds to the remainder when the remainder lacks them.  Each
+        step takes the larger of the stream head and the heap top.  A
+        monomial whose coefficient cancelled is skipped when it is reached.
         """
         divisor = self._operand(divisor)
         if divisor.is_zero():
@@ -534,15 +553,21 @@ class Polynomial(Immutable):
         guard = self.space._guard
         lead = max(divisor._terms)
         lead_coeff = divisor._terms[lead]
-        rest = [(m, c) for m, c in divisor._terms.items() if m != lead]
+        # the tail negated once, so that each product is one multiply-add
+        rest = [(m, -c) for m, c in divisor._terms.items() if m != lead]
         remainder = dict(self._terms)
-        heap = [-m for m in remainder]
-        heapq.heapify(heap)
+        stream = sorted(remainder, reverse=True)
+        index, size = 0, len(stream)
+        heap: list[int] = []  # negated monomials that products added
         quotient: dict[int, Coefficient] = {}
-        get = remainder.get
-        while heap:
-            mono = -heapq.heappop(heap)
-            coeff = remainder.pop(mono, None)
+        get, pop = remainder.get, remainder.pop
+        while index < size or heap:
+            if heap and (index == size or -heap[0] > stream[index]):
+                mono = -heapq.heappop(heap)
+            else:
+                mono = stream[index]
+                index += 1
+            coeff = pop(mono, None)
             if coeff is None:
                 continue
             if mono & guard:
@@ -562,10 +587,10 @@ class Polynomial(Immutable):
                 key = ratio + dm
                 acc = get(key)
                 if acc is None:
-                    remainder[key] = -q * dc
+                    remainder[key] = q * dc
                     heapq.heappush(heap, -key)
                 else:
-                    acc = acc - q * dc
+                    acc = acc + q * dc
                     if acc:
                         remainder[key] = acc
                     else:

@@ -3,17 +3,19 @@
 import contextlib
 import copy
 import functools
+import heapq
 import operator
 import pickle
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixvertex import poly
+from sixvertex import poly, schur
 from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                               enumerate_states, state_to_gt)
 from sixvertex.matrix import PolyMatrix
@@ -511,6 +513,70 @@ def test_exact_div_guards():
     with pytest.raises(ValueError):
         (z + 1).exact_div(z)
     assert (z * z - 1).exact_div(z + 1) == z - 1
+
+
+@contextlib.contextmanager
+def counted_heap_growth():
+    """Record the monomials that ``exact_div`` pushes onto its heap; a
+    ``heapify`` is recorded as None."""
+    grown = []
+
+    def heappush(heap, item):
+        grown.append(-item)
+        heapq.heappush(heap, item)
+
+    def heapify(heap):
+        grown.append(None)
+        heapq.heapify(heap)
+
+    counting = types.SimpleNamespace(heappush=heappush, heapify=heapify,
+                                     heappop=heapq.heappop)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "heapq", counting)
+        yield grown
+
+
+def test_exact_div_heaps_the_products_the_dividend_lacks():
+    space = VarSpace(2)
+    z1, z2 = space.z(1), space.z(2)
+    # z1^2 * (-z2) gives z1^2*z2, which z1^3 - z2^3 lacks
+    with counted_heap_growth() as grown:
+        assert (z1 ** 3 - z2 ** 3).exact_div(z1 - z2) == z1 ** 2 + z1 * z2 + z2 ** 2
+    assert grown and None not in grown
+    # rank 1: a monomial of a*b cancels, and a later product creates it again
+    rank1 = VarSpace(1)
+    z, t = rank1.z(1), rank1.t(1)
+    a = -t * z ** 2 - t ** 2 * z - z ** 2 - t * z
+    b = z ** 2 + t * z - t ** 2 - t
+    product = a * b
+    with counted_heap_growth() as grown:
+        assert product.exact_div(b) == a
+    assert any(mono in product._terms for mono in grown)
+
+
+@pytest.mark.parametrize("kind", [IceKind.GAMMA, IceKind.DELTA], ids=lambda k: k.value)
+def test_dividing_out_a_factor_heaps_nothing(kind):
+    # every product monomial of these divisions is already a dividend monomial
+    s = schur.schur_bialternant((2, 1, 0, 0, 0))
+    den = schur.deformed_denominator(kind, 5)
+    product = den * s
+    with counted_heap_growth() as grown:
+        assert product.exact_div(den) == s
+        assert product.exact_div(s) == den
+    assert grown == []
+
+
+def test_inexact_division_names_the_whole_remainder():
+    space = VarSpace(2)
+    z1, z2 = space.z(1), space.z(2)
+    # the first indivisible monomial, 2*z2^2, is a dividend monomial
+    with pytest.raises(ValueError) as info:
+        (z1 ** 2 + z2 ** 2 + 1).exact_div(z1 + z2)
+    assert str(info.value) == "inexact division, remainder 2*z2^2 + 1"
+    # the first indivisible monomial, z2^2, is one that a product created
+    with pytest.raises(ValueError) as info:
+        (z1 ** 2 + 1).exact_div(z1 + z2)
+    assert str(info.value) == "inexact division, remainder z2^2 + 1"
 
 
 def test_canonical_order_and_text_rendering():

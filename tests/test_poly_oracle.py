@@ -1,6 +1,7 @@
-"""Property tests and a sympy differential test for the polynomial kernel.
+"""Property tests, a classical-division oracle and a sympy differential test
+for the polynomial kernel.
 
-Both are written against the public API only (the constructor, ``terms()``,
+All are written against the public API only (the constructor, ``terms()``,
 arithmetic, ``exact_div``, ``evaluate``, JSON), so they hold for any term
 representation behind it.
 """
@@ -95,6 +96,55 @@ def test_inexact_division_raises(data):
     # a non-constant b divides no non-zero constant, so a*b + 1 leaves a remainder
     with pytest.raises(ValueError, match="inexact division, remainder"):
         (a * b + 1).exact_div(b)
+
+
+def _classical_div(dividend, divisor):
+    """dividend / divisor by schoolbook division on exponent tuples: each step
+    cancels the largest remainder monomial under ``_canonical_key``.  Raises
+    ValueError with the remainder when that monomial is not divisible."""
+    space = dividend.space
+    (lead, lead_coeff), *rest = divisor.terms()
+    remainder, quotient = dict(dividend.terms()), {}
+    while remainder:
+        mono = max(remainder, key=_canonical_key)
+        ratio = tuple(e - d for e, d in zip(mono, lead))
+        if any(e < 0 for e in ratio):
+            raise ValueError(f"inexact division, remainder {Polynomial(space, remainder)}")
+        q = quotient[ratio] = remainder.pop(mono) / lead_coeff
+        for dm, dc in rest:
+            key = tuple(e + d for e, d in zip(ratio, dm))
+            remainder[key] = remainder.get(key, 0) - q * dc
+            if not remainder[key]:
+                del remainder[key]
+    return Polynomial(space, quotient)
+
+
+def _outcome(divide, dividend, divisor):
+    """The quotient, or the text of the ValueError for a remainder."""
+    try:
+        return divide(dividend, divisor)
+    except ValueError as error:
+        return str(error)
+
+
+@st.composite
+def difference_of_squares(draw):
+    """(c*(d + e), d - e): the product c*(d^2 - e^2) lacks the monomials of
+    c*d*e, so dividing it by d - e makes products the dividend lacks."""
+    space, (c, d, e) = draw(rank_and_polys(3))
+    return space, (c * (d + e), d - e)
+
+
+@SETTINGS
+@given(st.one_of(rank_and_polys(2), difference_of_squares()))
+def test_exact_div_matches_classical_division(data):
+    space, (a, b) = data
+    if b.is_zero():
+        return
+    for dividend in (a * b, a * b + 1):
+        assert (_outcome(Polynomial.exact_div, dividend, b)
+                == _outcome(_classical_div, dividend, b))
+    assert _classical_div(a * b, b) == a
 
 
 @SETTINGS
