@@ -16,7 +16,7 @@ from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
                       brute_force_states, enumerate_states, gt_row_sums,
                       gt_to_state, partition_function, state_to_gt,
                       state_weight, tokuyama_sum, transfer_matrix)
-from .poly import VarSpace, _require_int, prod
+from .poly import Polynomial, VarSpace, _require_int, prod
 from .schur import deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
                       random_free_fermionic, random_matched_pair,
@@ -49,10 +49,10 @@ def _require_at_least(value: int, name: str, flag: str, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}")
 
 
-def factorization(kind: IceKind, lam: tuple[int, ...]) -> list[dict]:
-    """Z = deformed denominator * Schur polynomial."""
-    z_fun = partition_function(BoundarySpec(kind, lam))
-    expected = deformed_denominator(kind, len(lam)) * schur_bialternant(lam)
+def factorization(kind: IceKind, lam: tuple[int, ...], z_fun: Polynomial,
+                  schur: Polynomial) -> list[dict]:
+    """Z = deformed denominator * Schur polynomial, from the Z and s_lambda of lam."""
+    expected = deformed_denominator(kind, len(lam)) * schur
     return [report(f"factorization {kind.value} {_lam_label(lam)}", z_fun - expected)]
 
 
@@ -180,12 +180,14 @@ def bijection(max_n: int, max_part: int) -> list[dict]:
 
 def tokuyama(lam: tuple[int, ...]) -> list[dict]:
     """The deformed pattern sums against Z_Gamma and the single-t product formula."""
+    schur = schur_bialternant(lam)  # first: its guards fire before the state sum
+    return _tokuyama(lam, schur, partition_function(BoundarySpec(IceKind.GAMMA, lam)))
+
+
+def _tokuyama(lam: tuple[int, ...], schur: Polynomial, z_gamma: Polynomial) -> list[dict]:
     label = _lam_label(lam)
     n = len(lam)
     space = VarSpace(n)
-    # the bialternant first: its rank guard fires before the state sums start
-    schur = schur_bialternant(lam)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
     single_target = prod(
         (space.z(i) + space.t(1) * space.z(j)
          for i in range(1, n + 1) for j in range(i + 1, n + 1)),
@@ -203,10 +205,13 @@ def statement_b(lam: tuple[int, ...]) -> list[dict]:
     polynomial ring and avoids multiplying millions of terms at rank 5.
     The divisions must themselves be exact or the check fails.
     """
+    return _statement_b(lam, *(partition_function(BoundarySpec(k, lam)) for k in _KINDS))
+
+
+def _statement_b(lam: tuple[int, ...], z_gamma: Polynomial,
+                 z_delta: Polynomial) -> list[dict]:
     name = f"statement-b {_lam_label(lam)}"
     n = len(lam)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-    z_delta = partition_function(BoundarySpec(IceKind.DELTA, lam))
     try:
         q_gamma = z_gamma.exact_div(deformed_denominator(IceKind.GAMMA, n))
         q_delta = z_delta.exact_div(deformed_denominator(IceKind.DELTA, n))
@@ -215,13 +220,12 @@ def statement_b(lam: tuple[int, ...]) -> list[dict]:
     return [report(name, q_gamma - q_delta)]
 
 
-def symmetry_degrees(lam: tuple[int, ...]) -> list[dict]:
+def symmetry_degrees(lam: tuple[int, ...], z_gamma: Polynomial,
+                     z_delta: Polynomial) -> list[dict]:
     """Train-argument symmetry of (t_{k+1} z_k + z_{k+1}) Z_Gamma, and t-degrees."""
     label = _lam_label(lam)
     n = len(lam)
     space = VarSpace(n)
-    z_gamma = partition_function(BoundarySpec(IceKind.GAMMA, lam))
-    z_delta = partition_function(BoundarySpec(IceKind.DELTA, lam))
     reports = []
     for k in range(1, n):
         product = (space.t(k + 1) * space.z(k) + space.z(k + 1)) * z_gamma
@@ -295,11 +299,14 @@ def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
         lambdas += _SPOT_CHECKS
     groups: dict[str, list[dict]] = defaultdict(list)
     for lam in lambdas:
-        for kind in _KINDS:
-            groups[f"factorization {kind.value}"] += factorization(kind, lam)
-        groups["tokuyama"] += tokuyama(lam)
-        groups["statement-b"] += statement_b(lam)
-        groups["symmetry-degrees"] += symmetry_degrees(lam)
+        # s_lambda, Z_Gamma and Z_Delta once for all the checks of lam
+        schur = schur_bialternant(lam)  # first: its guards fire before any state sum
+        z_funs = [partition_function(BoundarySpec(kind, lam)) for kind in _KINDS]
+        for kind, z_fun in zip(_KINDS, z_funs):
+            groups[f"factorization {kind.value}"] += factorization(kind, lam, z_fun, schur)
+        groups["tokuyama"] += _tokuyama(lam, schur, z_funs[0])
+        groups["statement-b"] += _statement_b(lam, *z_funs)
+        groups["symmetry-degrees"] += symmetry_degrees(lam, *z_funs)
     groups["worked-example"] = worked_example()
     groups["ybe"] = ybe(hats=(False, True))
     groups["group-law"] = group_law(100, 0)

@@ -352,7 +352,7 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
     """Product of the vertex weights of ice row r, from the row's own edge spins.
 
     A row's weight depends only on the GT rows above and below it, so within
-    one partition function most rows repeat; _partition_function empties
+    one partition function most rows repeat; partition_function empties
     this cache when it finishes.
     """
     mat = _row_matrix(kind, n, r)
@@ -376,12 +376,6 @@ def state_weight(s: LatticeState) -> Polynomial:
 
 def partition_function(b: BoundarySpec) -> Polynomial:
     """Exact sum of state weights over the whole ensemble."""
-    return _partition_function(b.kind, b.lam)
-
-
-@lru_cache(maxsize=None)
-def _partition_function(kind: IceKind, lam: tuple[int, ...]) -> Polynomial:
-    b = BoundarySpec(kind, lam)
     try:
         return poly_sum((state_weight(s) for s in enumerate_states(b)),
                         VarSpace(b.n))

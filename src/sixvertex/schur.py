@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Sequence
 
 from .lattice import (BoundarySpec, _plus_rho, partition_function, row_sum,
@@ -55,7 +54,6 @@ def schur_bialternant(lam: Sequence[int]) -> Polynomial:
     return _schur_bialternant(lam)
 
 
-@lru_cache(maxsize=None)
 def _schur_bialternant(lam: tuple[int, ...]) -> Polynomial:
     n = len(lam)
     space = VarSpace(n)
@@ -108,10 +106,11 @@ def s_gamma(lam: Sequence[int]) -> Polynomial:
     variable; both are enforced.
     """
     lam = validate_partition(lam)
+    schur = schur_bialternant(lam)  # first: its guards fire before the state sum
     z_fun = partition_function(BoundarySpec(IceKind.GAMMA, lam))
     quotient = z_fun.exact_div(deformed_denominator(IceKind.GAMMA, len(lam)))
     if quotient.contains_t():
         raise ValueError(f"quotient contains t variables: {quotient}")
-    if quotient != schur_bialternant(lam):
+    if quotient != schur:
         raise ValueError("quotient disagrees with the bialternant")
     return quotient

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,28 @@ def test_verify_all_accepts_an_empty_grid():
         "tokuyama per-row lambda=()", "tokuyama single-t lambda=()"]
 
 
+def test_suite_computes_each_partition_function_and_schur_polynomial_once(monkeypatch):
+    # no cache hides a recompute, so the checks of a partition share its values
+    z_calls, schur_calls = Counter(), Counter()
+
+    def counted(fn, calls, key):
+        def run(arg):
+            calls[key(arg)] += 1
+            return fn(arg)
+        return run
+
+    monkeypatch.setattr(checks, "partition_function", counted(
+        checks.partition_function, z_calls, lambda b: (b.kind, b.lam)))
+    monkeypatch.setattr(checks, "schur_bialternant", counted(
+        checks.schur_bialternant, schur_calls, tuple))
+    checks.suite(2, 2)
+    lambdas = checks._partition_grid(2, 2)
+    assert schur_calls == Counter(lambdas)
+    # the worked example sums gamma lambda=(0,0) once more
+    assert z_calls == Counter([(kind, lam) for lam in lambdas for kind in checks._KINDS]
+                              + [(IceKind.GAMMA, (0, 0))])
+
+
 def test_rank_ten_bialternant_is_refused_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the rank guard")
@@ -375,8 +398,8 @@ def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
 
 
 def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):
-    # the partition function memoizes per boundary, so pick a partition no
-    # other test has already forced into the cache
+    # zfun sums the states on every call, so the limit of one state stops
+    # any partition that has more than one
     monkeypatch.setenv("ICE_MAX_STATES", "1")
     code, out, err = run_cli(capsys, "zfun", "--kind", "gamma", "--lambda", "5,0")
     assert code == 2

@@ -402,17 +402,26 @@ def test_row_weight_memo_is_emptied_after_each_partition_function(monkeypatch):
     weights = [state_weight(s) for s in enumerate_states(b)]
     # rows repeat between states, which is what the memo is for
     assert lattice._row_weight.cache_info().hits > 0
-    lattice._partition_function.cache_clear()
     assert partition_function(b) == poly_sum(weights)
     assert lattice._row_weight.cache_info().currsize == 0
 
     state_weight(next(enumerate_states(b)))
     assert lattice._row_weight.cache_info().currsize > 0
-    lattice._partition_function.cache_clear()
     monkeypatch.setenv("ICE_MAX_STATES", "1")
     with pytest.raises(RuntimeError, match="ICE_MAX_STATES=1"):
         partition_function(b)
     assert lattice._row_weight.cache_info().currsize == 0
+
+
+def test_partition_function_sums_afresh_on_every_call(monkeypatch):
+    # no result outlives its call: a second call sums the states again, so
+    # a state limit set in between still fires
+    b = BoundarySpec(IceKind.GAMMA, (2, 1, 0))
+    first = partition_function(b)
+    assert partition_function(b) == first
+    monkeypatch.setenv("ICE_MAX_STATES", "1")
+    with pytest.raises(RuntimeError, match="ICE_MAX_STATES=1"):
+        partition_function(b)
 
 
 def test_state_json_round_trip():

@@ -55,6 +55,17 @@ def test_bialternant_work_guard_fires_before_any_term(monkeypatch):
         assert schur_bialternant(lam) == lam
 
 
+def test_s_gamma_runs_the_bialternant_guards_before_the_state_sum(monkeypatch):
+    def refuse(b):
+        raise AssertionError("state sum started before the bialternant guards")
+
+    monkeypatch.setattr(schur, "partition_function", refuse)
+    with pytest.raises(ValueError, match=r"rank 8 has work 216760320 \(Weyl dimension"):
+        s_gamma((3, 2, 1, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="rank 10 sums 3628800 signed terms"):
+        s_gamma((0,) * 10)
+
+
 def test_small_schur_values():
     space = VarSpace(2)
     z1, z2 = space.z(1), space.z(2)
