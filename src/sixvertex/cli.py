@@ -2,7 +2,8 @@
 
 Every verify subcommand prints one PASS/FAIL line per check, sorted, then a
 summary count; exit codes are 0 when all checks pass, 1 on a verification
-failure, 2 on usage errors or guard violations.  The checks themselves
+failure, 2 on usage errors or guard violations, and 141 (128 + SIGPIPE)
+when the reader closes stdout early, as `| head` does.  The checks themselves
 live in :mod:`sixvertex.checks`; randomized ones embed their seed in the
 check name, so identical argv always produces byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -140,10 +142,17 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the interpreter's flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

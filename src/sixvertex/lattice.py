@@ -138,15 +138,47 @@ def _spins_json(row: tuple[int, ...]) -> list[int]:
     return [-1 if spin < 0 else 1 for spin in row]
 
 
+def _shape_error(b: BoundarySpec, horizontal: bool) -> ValueError:
+    return ValueError(f"horizontal grid must be {b.n} x {b.m + 1}" if horizontal
+                      else f"vertical grid must be {b.n + 1} x {b.m}")
+
+
+def _check_row(b: BoundarySpec, j: int, spins: tuple, horizontal: bool) -> None:
+    """Raise ValueError unless `spins` can be row j of a state's horizontal
+    (or vertical) edges: its length, spin values +1 and -1, and the
+    boundary spins that row j carries."""
+    m = b.m
+    if len(spins) != (m + 1 if horizontal else m):
+        raise _shape_error(b, horizontal)
+    try:
+        valid = _SPINS.issuperset(spins)
+    except TypeError:  # an unhashable spin, such as a list from malformed JSON
+        valid = False
+    if not valid:
+        for spin in spins:
+            if spin not in (1, -1):
+                raise ValueError(f"spins must be +1 or -1: {spin!r}")
+    if horizontal:
+        if spins[0] != b.left_spin:
+            raise ValueError(f"left boundary spin wrong in row {j}")
+        if spins[m] != b.right_spin:
+            raise ValueError(f"right boundary spin wrong in row {j}")
+    else:
+        if j == 0 and spins != b.top_row_spins():
+            raise ValueError("top boundary does not match lambda + rho")
+        if j == b.n and spins != (1,) * m:
+            raise ValueError("bottom boundary must be all +")
+
+
 class LatticeState(Immutable):
     """Spin assignment for every edge: horizontal (n)x(m+1), vertical (n+1)xm.
 
     horizontal[r][c] is the spin left of vertex (r, c) with horizontal[r][m]
     the right boundary; vertical[r][c] is the spin above vertex (r, c) with
-    vertical[n] the bottom boundary.  The constructor checks shapes, spin
-    values, and the boundary; vertex admissibility is checked where weights
-    are taken, so that near-miss states can be represented and rejected
-    with coordinates.
+    vertical[n] the bottom boundary.  The constructor checks the row counts
+    and then each row through _check_row: shape, spin values, and the
+    boundary; vertex admissibility is checked where weights are taken, so
+    that near-miss states can be represented and rejected with coordinates.
     """
 
     __slots__ = ("boundary", "vertical", "horizontal")
@@ -156,34 +188,27 @@ class LatticeState(Immutable):
                  horizontal: Sequence[Sequence[int]]):
         vertical = tuple(tuple(row) for row in vertical)
         horizontal = tuple(tuple(row) for row in horizontal)
-        n, m = boundary.n, boundary.m
-        if len(vertical) != n + 1 or any(len(row) != m for row in vertical):
-            raise ValueError(f"vertical grid must be {n + 1} x {m}")
-        if len(horizontal) != n or any(len(row) != m + 1 for row in horizontal):
-            raise ValueError(f"horizontal grid must be {n} x {m + 1}")
-        rows = vertical + horizontal
-        try:
-            valid = _SPINS.issuperset(chain.from_iterable(rows))
-        except TypeError:  # an unhashable spin, such as a list from malformed JSON
-            valid = False
-        if not valid:
-            for row in rows:
-                for spin in row:
-                    if spin not in (1, -1):
-                        raise ValueError(f"spins must be +1 or -1: {spin!r}")
-        left, right = boundary.left_spin, boundary.right_spin
+        if len(vertical) != boundary.n + 1:
+            raise _shape_error(boundary, horizontal=False)
+        if len(horizontal) != boundary.n:
+            raise _shape_error(boundary, horizontal=True)
+        for j, row in enumerate(vertical):
+            _check_row(boundary, j, row, horizontal=False)
         for r, row in enumerate(horizontal):
-            if row[0] != left:
-                raise ValueError(f"left boundary spin wrong in row {r}")
-            if row[m] != right:
-                raise ValueError(f"right boundary spin wrong in row {r}")
-        if vertical[0] != boundary.top_row_spins():
-            raise ValueError("top boundary does not match lambda + rho")
-        if vertical[n] != (1,) * m:
-            raise ValueError("bottom boundary must be all +")
+            _check_row(boundary, r, row, horizontal=True)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "horizontal", horizontal)
+
+    @classmethod
+    def _raw(cls, boundary: BoundarySpec, vertical: tuple[tuple[int, ...], ...],
+             horizontal: tuple[tuple[int, ...], ...]) -> "LatticeState":
+        # internal: tuples owned by the caller, each row already passed _check_row
+        self = object.__new__(cls)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "vertical", vertical)
+        object.__setattr__(self, "horizontal", horizontal)
+        return self
 
     def vertex_pattern(self, r: int, c: int) -> tuple[int, int, int, int]:
         """The (W, N, E, S) spins around vertex (r, c)."""
@@ -286,15 +311,15 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     """All states for the boundary, in strict-pattern lexicographic order.
 
     Guarded by the ICE_MAX_STATES environment variable (default 10^7).
-    A GT row recurs in many patterns, so the spin rows are built once per
-    distinct GT row and row pair, in a memo local to this call.
+    A GT row recurs in many patterns, so the spin rows are built and checked
+    once per distinct GT row and row pair, in a memo local to this call.
     """
     text = os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES))
     try:
         limit = int(text)
     except ValueError:
         raise ValueError(f"ICE_MAX_STATES must be an integer, got {text!r}") from None
-    memo: dict = {b.top_row(): b.top_row_spins()}
+    memo: dict = {}
     count = 0
     for rows in gt_patterns(b.top_row(), strict=True):
         count += 1
@@ -418,24 +443,34 @@ def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...],
     The ice rule forces each horizontal spin: the spin to its left times the
     two vertical spins of the vertex between them.  `memo` maps each GT row
     of `b` to its vertical spins and each (above, below) pair of GT rows to
-    the horizontal spins between them; what it lacks is added to it.
+    the horizontal spins between them; what it lacks is built, checked by
+    _check_row at the row index where it first appears, and added to it.
+    Every row of the state has then passed the constructor's checks, so the
+    state is assembled with no second check.
     """
+    if len(rows) != b.n:
+        raise _shape_error(b, horizontal=False)
     rows += ((),)
     vertical = []
     for row in rows:
         spins = memo.get(row)
         if spins is None:
-            spins = memo[row] = _row_spins(b, row)
+            spins = _row_spins(b, row)
+            _check_row(b, len(vertical), spins, horizontal=False)
+            memo[row] = spins
         vertical.append(spins)
     horizontal = []
-    for j, pair in enumerate(zip(rows, rows[1:])):
+    for pair in zip(rows, rows[1:]):
         spins = memo.get(pair)
         if spins is None:
-            spins = memo[pair] = tuple(accumulate(
+            j = len(horizontal)
+            spins = tuple(accumulate(
                 map(operator.mul, vertical[j], vertical[j + 1]), operator.mul,
                 initial=b.left_spin))
+            _check_row(b, j, spins, horizontal=True)
+            memo[pair] = spins
         horizontal.append(spins)
-    return LatticeState(b, vertical, horizontal)
+    return LatticeState._raw(b, tuple(vertical), tuple(horizontal))
 
 
 def gt_row_sums(g: GTPattern) -> tuple[int, ...]:

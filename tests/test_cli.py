@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -417,6 +418,24 @@ def test_state_limit_that_is_not_an_integer_is_named(capsys, monkeypatch):
         monkeypatch.setenv("ICE_MAX_STATES", text)
         code, out, err = run_cli(capsys, "states", "--kind", "gamma", "--lambda", "1,0")
         assert (code, len(out.splitlines())) == (code_wanted, lines)
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
+    # gamma (3,2,1,0) lists 646 states in about 200 KB, more than a pipe
+    # holds, so the writer is still printing when the reader takes one
+    # line and closes its end, as `| head -1` does
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "sixvertex.cli", "states", "--kind", "gamma",
+            "--lambda", "3,2,1,0"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline().startswith(b'{"horizontal": [[1, ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert b"Traceback" not in err
+    assert (code, err) == (141, b"")
 
 
 @pytest.mark.parametrize("method", ["bialternant", "pattern"])

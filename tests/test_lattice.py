@@ -148,6 +148,8 @@ def test_enumerated_states_match_a_build_without_memo(kind):
         states = list(enumerate_states(b))
         assert states == [state_without_memo(b, rows)
                           for rows in gt_patterns(b.top_row(), True)]
+        # the states skip the constructor, and it must take each one as it is
+        assert states == [LatticeState(b, s.vertical, s.horizontal) for s in states]
         if b.n <= 4:
             assert sorted(states, key=repr) == sorted(brute_force_states(b), key=repr)
 
@@ -326,6 +328,22 @@ def test_state_validation_errors():
     bad_bottom = good.vertical[:-1] + ((-1,) + good.vertical[-1][1:],)
     with pytest.raises(ValueError, match=re.escape("bottom boundary must be all +")):
         LatticeState(b, bad_bottom, good.horizontal)
+
+
+def test_the_state_builder_checks_each_new_row_as_the_constructor_does():
+    # enumerate_states and gt_to_state check a row when it enters their
+    # memo; GT rows (2, 0) over (1, 0) force a + at the right of ice row 0
+    b = BoundarySpec(IceKind.GAMMA, (1, 0))
+    rows = ((2, 0), (1, 0))
+    with pytest.raises(ValueError, match=re.escape("right boundary spin wrong in row 0")):
+        lattice._state_from_rows(b, rows, {})
+    vertical = [[-1 if label in row else 1 for label in b.column_labels]
+                for row in rows + ((),)]
+    horizontal = [[1, -1, 1, 1], [1, 1, -1, 1]]  # the ice rule from the left spin
+    with pytest.raises(ValueError, match=re.escape("right boundary spin wrong in row 0")):
+        LatticeState(b, vertical, horizontal)
+    with pytest.raises(ValueError, match=re.escape("vertical grid must be 3 x 3")):
+        lattice._state_from_rows(b, rows[:1], {})
 
 
 def test_inadmissible_vertex_is_reported_with_coordinates():
