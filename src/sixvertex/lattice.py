@@ -21,14 +21,12 @@ from __future__ import annotations
 import operator
 import os
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
 from .poly import Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
 from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
-
-_SPINS = frozenset((1, -1))
 
 _DEFAULT_MAX_STATES = 10_000_000
 
@@ -133,11 +131,6 @@ class GTPattern(Immutable):
         return f"GTPattern({self.to_json()})"
 
 
-def _spins_json(row: tuple[int, ...]) -> list[int]:
-    # a spin need only equal +1 or -1, such as True or 1.0; JSON gets the int
-    return [-1 if spin < 0 else 1 for spin in row]
-
-
 def _shape_error(b: BoundarySpec, horizontal: bool) -> ValueError:
     return ValueError(f"horizontal grid must be {b.n} x {b.m + 1}" if horizontal
                       else f"vertical grid must be {b.n + 1} x {b.m}")
@@ -145,19 +138,15 @@ def _shape_error(b: BoundarySpec, horizontal: bool) -> ValueError:
 
 def _check_row(b: BoundarySpec, j: int, spins: tuple, horizontal: bool) -> None:
     """Raise ValueError unless `spins` can be row j of a state's horizontal
-    (or vertical) edges: its length, spin values +1 and -1, and the
-    boundary spins that row j carries."""
+    (or vertical) edges: its length, spins that are the int 1 or -1 (not
+    True, 1.0 or another value equal to 1), and the boundary spins that
+    row j carries."""
     m = b.m
     if len(spins) != (m + 1 if horizontal else m):
         raise _shape_error(b, horizontal)
-    try:
-        valid = _SPINS.issuperset(spins)
-    except TypeError:  # an unhashable spin, such as a list from malformed JSON
-        valid = False
-    if not valid:
-        for spin in spins:
-            if spin not in (1, -1):
-                raise ValueError(f"spins must be +1 or -1: {spin!r}")
+    for spin in spins:
+        if type(spin) is not int or spin not in (1, -1):
+            raise ValueError(f"spins must be +1 or -1: {spin!r}")
     if horizontal:
         if spins[0] != b.left_spin:
             raise ValueError(f"left boundary spin wrong in row {j}")
@@ -203,7 +192,7 @@ class LatticeState(Immutable):
     @classmethod
     def _raw(cls, boundary: BoundarySpec, vertical: tuple[tuple[int, ...], ...],
              horizontal: tuple[tuple[int, ...], ...]) -> "LatticeState":
-        # internal: tuples owned by the caller, each row already passed _check_row
+        # internal: tuples owned by the caller, rows valid by construction
         self = object.__new__(cls)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
@@ -228,18 +217,13 @@ class LatticeState(Immutable):
     def to_json(self) -> dict:
         return {"lambda": list(self.boundary.lam),
                 "kind": self.boundary.kind.value,
-                "vertical": [_spins_json(row) for row in self.vertical],
-                "horizontal": [_spins_json(row) for row in self.horizontal]}
+                "vertical": [list(row) for row in self.vertical],
+                "horizontal": [list(row) for row in self.horizontal]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeState":
         boundary = BoundarySpec(IceKind(data["kind"]), tuple(data["lambda"]))
-        state = cls(boundary, data["vertical"], data["horizontal"])
-        # the constructor takes any spin equal to +1 or -1, such as true or 1.0
-        for spin in chain.from_iterable(state.vertical + state.horizontal):
-            if type(spin) is not int:
-                raise ValueError(f"spins must be +1 or -1: {spin!r}")
-        return state
+        return cls(boundary, data["vertical"], data["horizontal"])
 
     def __repr__(self) -> str:
         return (f"LatticeState({self.boundary!r}, vertical={self.vertical}, "
@@ -311,8 +295,8 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     """All states for the boundary, in strict-pattern lexicographic order.
 
     Guarded by the ICE_MAX_STATES environment variable (default 10^7).
-    A GT row recurs in many patterns, so the spin rows are built and checked
-    once per distinct GT row and row pair, in a memo local to this call.
+    A GT row recurs in many patterns, so the spin rows are built once per
+    distinct GT row and row pair, in a memo local to this call.
     """
     text = os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES))
     try:
@@ -438,37 +422,31 @@ def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
 
 def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...],
                      memo: dict) -> LatticeState:
-    """The state of the GT pattern `rows` (top row b.top_row()), below it all +.
+    """The state of the strict GT pattern `rows`, whose top row is b.top_row().
 
     The ice rule forces each horizontal spin: the spin to its left times the
     two vertical spins of the vertex between them.  `memo` maps each GT row
     of `b` to its vertical spins and each (above, below) pair of GT rows to
-    the horizontal spins between them; what it lacks is built, checked by
-    _check_row at the row index where it first appears, and added to it.
-    Every row of the state has then passed the constructor's checks, so the
-    state is assembled with no second check.
+    the horizontal spins between them, built when first needed.  The rows
+    are valid by construction, so nothing is checked: the top row is lambda
+    + rho, the bottom row all +, and ice row j starts at b.left_spin and,
+    as the vertical rows around it hold n - j and n - j - 1 minus spins (an
+    odd total), ends at -b.left_spin, which is b.right_spin.
     """
-    if len(rows) != b.n:
-        raise _shape_error(b, horizontal=False)
     rows += ((),)
     vertical = []
     for row in rows:
         spins = memo.get(row)
         if spins is None:
-            spins = _row_spins(b, row)
-            _check_row(b, len(vertical), spins, horizontal=False)
-            memo[row] = spins
+            spins = memo[row] = _row_spins(b, row)
         vertical.append(spins)
     horizontal = []
-    for pair in zip(rows, rows[1:]):
+    for j, pair in enumerate(zip(rows, rows[1:])):
         spins = memo.get(pair)
         if spins is None:
-            j = len(horizontal)
-            spins = tuple(accumulate(
+            spins = memo[pair] = tuple(accumulate(
                 map(operator.mul, vertical[j], vertical[j + 1]), operator.mul,
                 initial=b.left_spin))
-            _check_row(b, j, spins, horizontal=True)
-            memo[pair] = spins
         horizontal.append(spins)
     return LatticeState._raw(b, tuple(vertical), tuple(horizontal))
 

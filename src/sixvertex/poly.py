@@ -408,6 +408,8 @@ class Polynomial(Immutable):
     __slots__ = ("space", "_terms")
 
     def __init__(self, space: VarSpace, terms: Mapping[Monomial, GaussianRational]):
+        if not isinstance(space, VarSpace):
+            raise TypeError(f"space must be a VarSpace, got {space!r}")
         clean = {}
         for mono, coeff in terms.items():
             key = space._pack(mono)

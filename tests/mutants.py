@@ -1,0 +1,151 @@
+"""Mutation catalog: each entry breaks one fast path, and the tests must notice.
+
+Run from anywhere, with the test extras installed:
+
+    python tests/mutants.py           # the baseline, then every entry
+    python tests/mutants.py NAME ...  # the baseline, then the named entries
+
+The runner copies src/, tests/ and README.md (which a CLI test reads) to a
+temporary directory, replaces one entry's text in that copy, and runs
+``python -m pytest -x -q tests`` there with the copy's src on PYTHONPATH.
+An entry is killed when pytest fails, and survives when it passes.  An
+entry whose text is not found exactly once in its file is stale, so a
+refactor that rewrites a fast path must update its mutants.  The unmutated
+copy runs first and must pass, or no kill would mean anything.  Exit status
+0 means the baseline passed and every entry was killed.
+
+pytest does not collect this file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a mutant that hangs the suite counts as killed once this runs out
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    text: str  # must occur exactly once in the file
+    replacement: str
+    breaks: str
+
+
+CATALOG = (
+    Mutant("accumulate-seed",
+           "src/sixvertex/lattice.py",
+           "initial=b.left_spin))",
+           "initial=b.right_spin))",
+           "the state builder's horizontal spins: the ice rule starts each row "
+           "at the left boundary spin"),
+    Mutant("row-pair-key",
+           "src/sixvertex/lattice.py",
+           "for j, pair in enumerate(zip(rows, rows[1:])):",
+           "for j, pair in enumerate((below,) for below in rows[1:]):",
+           "the state builder's memo: horizontal spins depend on the GT rows "
+           "above and below, not on the lower row alone"),
+    Mutant("matched-pair-b2",
+           "src/sixvertex/weights.py",
+           "b2 = delta1_s * a1 * b1 / (delta2_s * a2)",
+           "b2 = delta2_s * a1 * b1 / (delta1_s * a2)",
+           "random_matched_pair: its pairs are returned as solved, with no "
+           "recheck of the invariants"),
+    Mutant("solved-a1",
+           "src/sixvertex/weights.py",
+           "+ s.a1 * t.c1 * t.c2).exact_div(t.a1)",
+           "- s.a1 * t.c1 * t.c2).exact_div(t.a1)",
+           "solve_R_from_ST: a1 has one printed form, with no second form to "
+           "compare it with"),
+    Mutant("spin-type",
+           "src/sixvertex/lattice.py",
+           "if type(spin) is not int or spin not in (1, -1):",
+           "if spin not in (1, -1):",
+           "the LatticeState edge: a spin must be the int 1 or -1, not a value "
+           "equal to it"),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "README.md", dest / "README.md")
+
+
+def run_pytest(dest: Path) -> tuple[int | None, str]:
+    """pytest's exit code in `dest` (None on timeout) and its first failure line."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sixvertex; print(sixvertex.__file__)"],
+        cwd=dest, env=env, capture_output=True, text=True, check=True)
+    if not Path(probe.stdout.strip()).is_relative_to(dest):
+        raise RuntimeError(f"the copy imports sixvertex from {probe.stdout.strip()}")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "tests"],
+                              cwd=dest, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return proc.returncode, (failed or lines[-1:] or [""])[0]
+
+
+def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
+    """The outcome (passed, killed, survived or stale), seconds, and detail."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="sixvertex-mutant-") as tmp:
+        dest = Path(tmp)
+        copy_tree(dest)
+        if mutant is not None:
+            target = dest / mutant.path
+            source = target.read_text()
+            found = source.count(mutant.text)
+            if found != 1:
+                return "stale", 0.0, f"text found {found} times in {mutant.path}"
+            target.write_text(source.replace(mutant.text, mutant.replacement))
+        code, detail = run_pytest(dest)
+    seconds = time.perf_counter() - start
+    if mutant is None:
+        return ("passed" if code == 0 else "failed"), seconds, detail
+    return ("survived" if code == 0 else "killed"), seconds, detail
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in CATALOG}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; "
+              f"known: {', '.join(by_name)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] or list(CATALOG)
+    start = time.perf_counter()
+    outcome, seconds, detail = run_one(None)
+    print(f"baseline: {outcome} in {seconds:.1f} s: {detail}", flush=True)
+    if outcome != "passed":
+        return 1
+    bad = 0
+    for mutant in chosen:
+        outcome, seconds, detail = run_one(mutant)
+        print(f"{mutant.name}: {outcome} in {seconds:.1f} s: {detail}", flush=True)
+        if outcome != "killed":
+            print(f"  breaks {mutant.breaks}", flush=True)
+            bad += 1
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,8 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixvertex import poly, schur
-from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
-                              enumerate_states, state_to_gt)
+from sixvertex.lattice import BoundarySpec, GTPattern, LatticeState
 from sixvertex.matrix import PolyMatrix
 from sixvertex.poly import (EXPONENT_LIMIT, IMAG, ONE, ZERO, GaussianRational,
                             Polynomial, VarSpace, poly_sum, prod)
@@ -132,14 +131,21 @@ def test_type_d_pi_map_matches_products_with_a_constant():
                 assert stored_form(got[r, c]) == stored_form(want[r][c])
 
 
+def gamma_10_state():
+    """The first gamma lambda=(1,0) state, GT pattern ((2, 0), (2,)), from
+    literal rows, so that collecting this module needs no state builder."""
+    boundary = BoundarySpec(IceKind.GAMMA, (1, 0))
+    return LatticeState(boundary, [(-1, 1, -1), (-1, 1, 1), (1, 1, 1)],
+                        [(1, 1, 1, -1), (1, -1, -1, -1)])
+
+
 def value_objects():
     """One instance of each immutable value class."""
     space = VarSpace(2)
-    boundary = BoundarySpec(IceKind.GAMMA, (1, 0))
-    state = next(enumerate_states(boundary))
+    state = gamma_10_state()
     weights = gamma(space, 1)
     return [GaussianRational(1, -2), space, space.z(1) * IMAG + space.t(2, 3),
-            boundary, state_to_gt(state), state, weights.end2(), weights]
+            state.boundary, GTPattern(((2, 0), (2,))), state, weights.end2(), weights]
 
 
 @pytest.mark.parametrize("value", value_objects(), ids=lambda v: type(v).__name__)
@@ -162,8 +168,8 @@ def slot_equality_cases():
     input that changes one constructor argument."""
     space = VarSpace(2)
     one, z, t = space.one(), space.z(1), space.t(2)
-    boundary = BoundarySpec(IceKind.GAMMA, (1, 0))
-    state = next(enumerate_states(boundary))
+    state = gamma_10_state()
+    boundary = state.boundary
     flipped = [list(row) for row in state.horizontal]
     flipped[0][1] = -flipped[0][1]
     return [
@@ -769,6 +775,10 @@ def test_json_round_trip():
 
 def test_polynomial_validation_and_immutability():
     space = VarSpace(1)
+    # the space is checked before any term is read
+    for terms in ({}, {(1, 0): ONE}):
+        with pytest.raises(TypeError, match="space must be a VarSpace, got None"):
+            Polynomial(None, terms)
     with pytest.raises(ValueError):
         Polynomial(space, {(1,): ONE})
     with pytest.raises(ValueError):

@@ -335,12 +335,30 @@ def test_delta_invariants_shape_and_guards():
 
 def test_invariants_match_residuals():
     rng = random.Random(5)
-    s, t = random_matched_pair(rng)
-    res1, res2 = invariants_match(s, t)
-    assert res1.is_zero() and res2.is_zero()
+    for _ in range(50):
+        s, t = random_matched_pair(rng)
+        res1, res2 = invariants_match(s, t)
+        assert res1.is_zero() and res2.is_zero()
     s, t = random_mismatched_pair(rng)
     res1, res2 = invariants_match(s, t)
     assert res1 or res2
+
+
+def test_second_printed_forms_differ_by_the_invariant_residuals():
+    # solve_R_from_ST prints a1 = N1 / t.a1 and a2 = N2 / t.a2; the second
+    # forms N1' / s.b1 and N2' / s.b2 differ from them by res1 / (2 s.b1 t.a1)
+    # and res2 / (2 s.b2 t.a2), cleared of denominators here
+    space = VarSpace(6)
+    variables = [space.z(i) for i in range(1, 7)] + [space.t(i) for i in range(1, 7)]
+    s, t = VertexWeights.type_c(*variables[:6]), VertexWeights.type_c(*variables[6:])
+    n1 = s.b2 * t.a1 * t.b1 - s.a1 * t.b1 * t.b2 + s.a1 * t.c1 * t.c2
+    n1_second = s.a1 * s.b1 * t.a2 - s.a1 * s.a2 * t.b1 + s.c1 * s.c2 * t.b1
+    n2 = s.b1 * t.a2 * t.b2 - s.a2 * t.b1 * t.b2 + s.a2 * t.c1 * t.c2
+    n2_second = s.a2 * s.b2 * t.a1 - s.a1 * s.a2 * t.b2 + s.c1 * s.c2 * t.b2
+    res1, res2 = invariants_match(s, t)
+    assert res1 and res2
+    assert 2 * (s.b1 * n1 - t.a1 * n1_second) == res1
+    assert 2 * (s.b2 * n2 - t.a2 * n2_second) == res2
 
 
 def test_solve_matches_r_family_on_ice_weights():
