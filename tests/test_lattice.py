@@ -436,18 +436,32 @@ def test_state_json_round_trip():
                 assert back == s and json.dumps(back.to_json()) == text
 
 
-def test_state_constructor_and_from_json_refuse_spins_that_are_not_ints():
-    # each of these equals 1, and the last two also hash like 1
+# each of these equals 1, and the last two also hash like 1
+NOT_INT_SPINS = (True, 1.0, Fraction(1), GaussianRational(1), VarSpace(0).one())
+
+
+def test_state_json_writes_int_spins():
+    # the constructor takes only the ints 1 and -1, so to_json writes ints
+    good = next(iter(enumerate_states(BoundarySpec(IceKind.GAMMA, (1, 0)))))
+    data = good.to_json()
+    assert all(type(spin) is int for row in data["vertical"] for spin in row)
+    assert all(type(spin) is int for row in data["horizontal"] for spin in row)
+    assert data["vertical"][0][1] == 1
+    for bad in NOT_INT_SPINS:
+        spins = [list(row) for row in good.vertical]
+        spins[0][1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"spins must be +1 or -1: {bad!r}")):
+            LatticeState(good.boundary, spins, good.horizontal)
+
+
+def test_state_from_json_refuses_spins_that_are_not_ints():
     good = next(iter(enumerate_states(BoundarySpec(IceKind.GAMMA, (1, 0)))))
     data = good.to_json()
     assert data["vertical"][0][1] == 1
-    for bad in (True, 1.0, Fraction(1), GaussianRational(1), VarSpace(0).one()):
-        spins = [list(row) for row in good.vertical]
+    for bad in NOT_INT_SPINS:
+        spins = [row[:] for row in data["vertical"]]
         spins[0][1] = bad
-        message = re.escape(f"spins must be +1 or -1: {bad!r}")
-        with pytest.raises(ValueError, match=message):
-            LatticeState(good.boundary, spins, good.horizontal)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(f"spins must be +1 or -1: {bad!r}")):
             LatticeState.from_json(dict(data, vertical=spins))
 
 
