@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import checks
 from .lattice import (BoundarySpec, enumerate_states, partition_function,
@@ -62,18 +62,22 @@ def _finish(reports: list[dict]) -> int:
     return 0 if passed == len(reports) else 1
 
 
+def _write_line(pieces: Iterable[str]) -> None:
+    """Write one line of output piece by piece, as the pieces come, so that
+    no string of the whole line is built."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
+
+
 def _cmd_zfun(args: argparse.Namespace) -> int:
     z_fun = partition_function(BoundarySpec(IceKind(args.kind), args.lam))
-    if args.format == "json":
-        print(json.dumps(z_fun.to_json(), sort_keys=True))
-    else:
-        print(z_fun)
+    _write_line(z_fun.json_pieces() if args.format == "json" else z_fun.text_pieces())
     return 0
 
 
 def _cmd_schur(args: argparse.Namespace) -> int:
     fn = schur_bialternant if args.method == "bialternant" else schur_pattern_sum
-    print(fn(args.lam))
+    _write_line(fn(args.lam).text_pieces())
     return 0
 
 

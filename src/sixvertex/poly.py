@@ -28,9 +28,11 @@ coefficients:
   ``GaussianRational`` like its ``Fraction``, so the stored type never shows.
 
 Exponent tuples and ``GaussianRational`` coefficients appear only at the
-public edge: the constructor, ``terms()``, ``leading()``, the JSON and text
-forms, ``substitute``/``evaluate``, ``permute_rank_variables`` and the
-degree queries.
+public edge: the constructor, ``terms()``, ``leading()``, ``to_json``,
+``substitute``/``evaluate``, ``permute_rank_variables`` and the degree
+queries.  The two output writers, ``json_pieces`` and ``text_pieces``, build
+no exponent tuple per term: they split each packed monomial into its z and
+t blocks and render each distinct block once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numbers
 import operator
 import struct
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
@@ -395,6 +397,16 @@ class VarSpace(Immutable):
         fields = self._fields
         return fields.unpack((key & ((1 << self._shift) - 1)).to_bytes(fields.size, "big"))
 
+    def _block_layout(self) -> tuple[int, int, Callable[[int], tuple[int, ...]]]:
+        """The layout of one n-field block of a packed monomial: its width in
+        bits, its mask, and the unpacking of a block's bits into its n
+        exponents.  The t block is the low ``width`` bits, the z block the
+        ``width`` bits above them."""
+        width = self.n * FIELD_BITS
+        block = struct.Struct(f">{self.n}{_FIELD_FORMAT}")
+        unpack, size = block.unpack, block.size
+        return width, (1 << width) - 1, lambda bits: unpack(bits.to_bytes(size, "big"))
+
     def _check_guard(self, monos: Iterable[int]) -> None:
         """Raise if one of the packed ``monos`` has an exponent that reached the limit."""
         if functools.reduce(operator.or_, monos, 0) & self._guard:
@@ -661,8 +673,8 @@ class Polynomial(Immutable):
         return max(((m >> offset) & _FIELD_MASK for m in self._terms), default=-1)
 
     def contains_t(self) -> bool:
-        t_fields = (1 << (self.n * FIELD_BITS)) - 1  # the low n fields
-        return any(m & t_fields for m in self._terms)
+        _, t_block, _ = self.space._block_layout()
+        return any(m & t_block for m in self._terms)
 
     def to_json(self) -> dict:
         n = self.n
@@ -688,18 +700,59 @@ class Polynomial(Immutable):
             terms[mono] = coeff
         return cls(space, terms)
 
-    def __str__(self) -> str:
+    def json_pieces(self) -> Iterator[str]:
+        """``json.dumps(self.to_json(), sort_keys=True)``, one piece per term."""
+        yield f'{{"n": {self.n}, "terms": ['
+        separator = ""
+        for z, t, coeff in self._blocks(_json_list, _json_list):
+            re, im = _parts(coeff)
+            yield f'{separator}{{"im": "{im}", "re": "{re}", "t": [{t}], "z": [{z}]}}'
+            separator = ", "
+        yield "]}"
+
+    def text_pieces(self) -> Iterator[str]:
+        """The text form, one piece per term: t factors before z factors, and
+        a coefficient of 1 or -1 shown only by its sign, as in
+        ``z1^2 - 1/2*t1*z2 + 3``.  A complex coefficient prints in
+        parentheses, so its sign is never folded into the joining sign."""
         if not self._terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self._canonical():
-            body = _mono_str(mono, self.n)
-            text, negative = _term_str(coeff, body)
-            if not pieces:
-                pieces.append(f"-{text}" if negative else text)
-            else:
-                pieces.append(f" - {text}" if negative else f" + {text}")
-        return "".join(pieces)
+            yield "0"
+            return
+        signs = ("", "-")  # the first term's; every later term's is " + " or " - "
+        for z, t, coeff in self._blocks(functools.partial(_factors, "z"),
+                                        functools.partial(_factors, "t")):
+            body = f"{t}*{z}" if t and z else t or z
+            text = str(coeff)
+            negative = text[0] == "-"
+            if negative:
+                text = text[1:]
+            if body:
+                text = body if text == "1" else f"{text}*{body}"
+            yield signs[negative] + text
+            signs = (" + ", " - ")
+
+    def _blocks(self, render_z: Callable[[tuple[int, ...]], str],
+                render_t: Callable[[tuple[int, ...]], str]
+                ) -> Iterator[tuple[str, str, Coefficient]]:
+        """Each term in canonical order as its z block's text, its t block's
+        text and its stored coefficient.  Each distinct block is unpacked and
+        rendered once per call, in a memo per block: equal bits stand for
+        different variables in the two blocks."""
+        width, mask, unpack = self.space._block_layout()
+        terms = self._terms
+        z_memo, t_memo = {}, {}
+        for mono in sorted(terms, reverse=True):
+            z_bits, t_bits = (mono >> width) & mask, mono & mask
+            z = z_memo.get(z_bits)
+            if z is None:
+                z = z_memo[z_bits] = render_z(unpack(z_bits))
+            t = t_memo.get(t_bits)
+            if t is None:
+                t = t_memo[t_bits] = render_t(unpack(t_bits))
+            yield z, t, terms[mono]
+
+    def __str__(self) -> str:
+        return "".join(self.text_pieces())
 
     def __repr__(self) -> str:
         return f"<Polynomial {self}>"
@@ -749,33 +802,15 @@ def _accumulate(terms: dict, addend: Mapping) -> None:
                 del terms[mono]
 
 
-def _mono_str(mono: Monomial, n: int) -> str:
-    factors = []
-    for i in range(n):
-        e = mono[n + i]
-        if e == 1:
-            factors.append(f"t{i + 1}")
-        elif e > 1:
-            factors.append(f"t{i + 1}^{e}")
-    for i in range(n):
-        e = mono[i]
-        if e == 1:
-            factors.append(f"z{i + 1}")
-        elif e > 1:
-            factors.append(f"z{i + 1}^{e}")
-    return "*".join(factors)
+def _json_list(exps: tuple[int, ...]) -> str:
+    """The items of ``json.dumps(list(exps))``, without the brackets."""
+    return ", ".join(map(str, exps))
 
 
-def _term_str(coeff: Coefficient, body: str) -> tuple[str, bool]:
-    """Render one term; returns (text, sign-folded-out) for joining.  A complex
-    coefficient prints in parentheses, so its sign is never folded out."""
-    text = str(coeff)
-    negative = text.startswith("-")
-    if negative:
-        text = text[1:]
-    if not body:
-        return text, negative
-    return (body if text == "1" else f"{text}*{body}"), negative
+def _factors(letter: str, exps: tuple[int, ...]) -> str:
+    """One block's non-zero factors, as in ``t1^4*t2^3*t4``."""
+    return "*".join(f"{letter}{i}" if e == 1 else f"{letter}{i}^{e}"
+                    for i, e in enumerate(exps, 1) if e)
 
 
 def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:

@@ -73,6 +73,18 @@ CATALOG = (
            "if spin not in (1, -1):",
            "the LatticeState edge: a spin must be the int 1 or -1, not a value "
            "equal to it"),
+    Mutant("json-blocks-swapped",
+           "src/sixvertex/poly.py",
+           '"t": [{t}], "z": [{z}]',
+           '"t": [{z}], "z": [{t}]',
+           "the JSON writer: it renders the z and t blocks itself, with no "
+           "exponent tuple to take them from"),
+    Mutant("text-memo-letter",
+           "src/sixvertex/poly.py",
+           "z_memo, t_memo = {}, {}",
+           "z_memo = t_memo = {}",
+           "the writers' block memo: equal z and t bits stand for different "
+           "variables, so the text of a t block must not serve a z block"),
 )
 
 

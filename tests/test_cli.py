@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from sixvertex import checks, cli, schur
 from sixvertex.cli import main
+from sixvertex.lattice import BoundarySpec, partition_function
 from sixvertex.poly import Polynomial
 from sixvertex.weights import IceKind
 from sixvertex.yang_baxter import report
@@ -40,6 +42,43 @@ def test_zfun_json_round_trip_and_determinism(capsys):
     assert text_code == 0
     assert str(poly) + "\n" == text_out
     assert run_cli(capsys, *argv)[1] == out
+
+
+@pytest.mark.parametrize("lam", ["2,1,0", "1,1,1,0,0"])
+def test_zfun_writes_the_json_and_text_forms_of_z(capsys, lam):
+    for kind in ("gamma", "delta"):
+        z_fun = partition_function(BoundarySpec(IceKind(kind), tuple(map(int, lam.split(",")))))
+        for fmt, expected in (("json", json.dumps(z_fun.to_json(), sort_keys=True)),
+                              ("text", str(z_fun))):
+            argv = ("zfun", "--kind", kind, "--lambda", lam, "--format", fmt)
+            assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_polynomial_output_arrives_term_by_term(monkeypatch):
+    # a polynomial of k terms is written in about k pieces, with no string
+    # of the whole output built first
+    z_fun = partition_function(BoundarySpec(IceKind.GAMMA, (2, 1, 0)))
+    schur_poly = schur.schur_pattern_sum((2, 2, 1, 0))
+    for argv, poly in ((("zfun", "--kind", "gamma", "--lambda", "2,1,0", "--format", "json"),
+                        z_fun),
+                       (("zfun", "--kind", "gamma", "--lambda", "2,1,0"), z_fun),
+                       (("schur", "--lambda", "2,2,1,0", "--method", "pattern"), schur_poly)):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(list(argv)) == 0
+        terms = len(poly.terms())
+        assert terms > 10
+        assert terms <= out.writes <= terms + 3, argv
 
 
 def test_schur_output_and_method_agreement(capsys):
@@ -421,21 +460,26 @@ def test_state_limit_that_is_not_an_integer_is_named(capsys, monkeypatch):
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
-    # gamma (3,2,1,0) lists 646 states in about 200 KB, more than a pipe
-    # holds, so the writer is still printing when the reader takes one
-    # line and closes its end, as `| head -1` does
+    # each output is more than a pipe holds, so the writer is still writing
+    # when the reader takes its first bytes and closes its end, as `| head
+    # -c` does: gamma (3,2,1,0) lists 646 states in about 200 KB, and the
+    # JSON Z of gamma (1,1,0,0,0) is about 300 KB on one line, written term
+    # by term
     src = Path(__file__).resolve().parent.parent / "src"
-    argv = [sys.executable, "-m", "sixvertex.cli", "states", "--kind", "gamma",
-            "--lambda", "3,2,1,0"]
     env = dict(os.environ, PYTHONPATH=str(src))
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        assert proc.stdout.readline().startswith(b'{"horizontal": [[1, ')
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert b"Traceback" not in err
-    assert (code, err) == (141, b"")
+    for args, head in (
+            (["states", "--kind", "gamma", "--lambda", "3,2,1,0"], b'{"horizontal": [[1, '),
+            (["zfun", "--kind", "gamma", "--lambda", "1,1,0,0,0", "--format", "json"],
+             b'{"n": 5, "terms": [{"im": "0", "re": "1", "t": [')):
+        argv = [sys.executable, "-m", "sixvertex.cli", *args]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.read(len(head)) == head
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert b"Traceback" not in err, args
+        assert (code, err) == (141, b""), args
 
 
 @pytest.mark.parametrize("method", ["bialternant", "pattern"])

@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sixvertex.poly import GaussianRational, Polynomial, VarSpace
+from sixvertex.poly import IMAG, GaussianRational, Polynomial, VarSpace
 
 MAX_RANK = 6
 
@@ -153,6 +153,78 @@ def test_json_round_trip(data):
     space, (p,) = data
     text = json.dumps(p.to_json(), sort_keys=True)
     assert Polynomial.from_json(json.loads(text)) == p
+
+
+# -- the output writers against to_json and the renderer they replaced ----
+
+def _mono_str(mono, n):
+    factors = []
+    for i in range(n):
+        e = mono[n + i]
+        if e == 1:
+            factors.append(f"t{i + 1}")
+        elif e > 1:
+            factors.append(f"t{i + 1}^{e}")
+    for i in range(n):
+        e = mono[i]
+        if e == 1:
+            factors.append(f"z{i + 1}")
+        elif e > 1:
+            factors.append(f"z{i + 1}^{e}")
+    return "*".join(factors)
+
+
+def _term_str(coeff, body):
+    text = str(coeff)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    if not body:
+        return text, negative
+    return (body if text == "1" else f"{text}*{body}"), negative
+
+
+def _reference_text(p):
+    """The text form rebuilt from ``terms()``, one exponent tuple per term."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for mono, coeff in p.terms():
+        text, negative = _term_str(coeff, _mono_str(mono, p.n))
+        if not pieces:
+            pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f" - {text}" if negative else f" + {text}")
+    return "".join(pieces)
+
+
+# an exponent of 11 prints as ^11; small ones make equal z and t blocks likely
+writer_exponents = st.sampled_from([0, 0, 1, 1, 2, 3, 11])
+writer_coefficients = st.one_of(
+    st.integers(-3, 3), rationals.map(lambda q: -abs(q)),
+    st.sampled_from([IMAG, -IMAG, GaussianRational(Fraction(1, 2), -2),
+                     GaussianRational(Fraction(-3, 2), 1)]),
+    coefficients(gaussian=True))
+
+
+@st.composite
+def writer_polynomials(draw):
+    space = VarSpace(draw(st.integers(0, 3)))
+    monos = st.tuples(*[writer_exponents] * (2 * space.n))
+    return Polynomial(space, draw(st.dictionaries(monos, writer_coefficients, max_size=6)))
+
+
+@SETTINGS
+@given(writer_polynomials())
+@example(VarSpace(0).zero())
+@example(VarSpace(3).zero())
+def test_writers_match_to_json_and_the_reference_renderer(p):
+    json_pieces, text_pieces = list(p.json_pieces()), list(p.text_pieces())
+    assert "".join(json_pieces) == json.dumps(p.to_json(), sort_keys=True)
+    assert str(p) == "".join(text_pieces) == _reference_text(p)
+    # one piece per term, plus the JSON form's head and tail
+    assert len(json_pieces) == len(p.terms()) + 2
+    assert len(text_pieces) == max(len(p.terms()), 1)
 
 
 @SETTINGS
