@@ -19,7 +19,9 @@ coefficients:
   add to less than ``2**FIELD_BITS`` and never carry into the next field;
   a sum at or above the limit sets the guard bit instead.  Every operation
   that can raise an exponent checks the guard bits of its result and raises
-  :class:`OverflowError`, so an exponent never wraps.
+  :class:`OverflowError`, so an exponent never wraps.  ``prod`` tests the
+  guard bits on a bound of its product's monomials, and checks them one
+  by one only when that bound reaches the limit.
 * A coefficient enters as an ``int`` or a ``Fraction``, or as a
   :class:`GaussianRational` when its imaginary part is non-zero.  Arithmetic
   stores whatever its operands produce, so a coefficient computed from a
@@ -63,8 +65,10 @@ def _rational(value: object) -> Fraction:
 class Immutable:
     """Base of the value classes: slots set once in ``__init__``, then frozen.
 
-    Subclasses declare ``__slots__`` and set them with ``object.__setattr__``.
-    Pickle and ``copy`` restore the slots through ``__setstate__`` the same way.
+    Subclasses declare ``__slots__`` and set them with ``object.__setattr__``,
+    or, on a hot path such as ``Polynomial._raw``, with the ``__set__`` of the
+    class's slot descriptors.  Pickle and ``copy`` restore the slots through
+    ``__setstate__`` with ``object.__setattr__``.
     Two values of the same class are equal when every slot is equal.
     """
 
@@ -435,8 +439,8 @@ class Polynomial(Immutable):
     def _raw(cls, space: VarSpace, terms: dict) -> "Polynomial":
         # internal: terms must already be a clean packed map owned by the caller
         self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_terms", terms)
+        _set_space(self, space)
+        _set_terms(self, terms)
         return self
 
     @property
@@ -758,6 +762,12 @@ class Polynomial(Immutable):
         return f"<Polynomial {self}>"
 
 
+# the setters of Polynomial's slot descriptors, which _raw calls directly:
+# a descriptor's own __set__ skips Immutable.__setattr__ and the slot lookup
+_set_space = Polynomial.space.__set__
+_set_terms = Polynomial._terms.__set__
+
+
 def _dot(space: VarSpace,
          pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
@@ -817,22 +827,54 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
     """Product of an iterable of polynomials; empty product needs a space.
 
     A given space must be the factors' own, else the first factor's space
-    is; each factor is checked against it, then multiplied in by ``_dot``.
+    is; each factor is checked against it.  One-term factors are folded
+    into one monomial and coefficient; ``_dot`` multiplies in each factor
+    of two or more terms, and applies the folded term once at the end.
+    The value, the stored coefficient types and the factor at which an
+    exponent overflow raises are those of the left fold ``f1 * f2 * ...``.
+
+    After each factor the guard bits are tested on a bound of the running
+    product's monomials: ``hull``, the OR of the multiplied part's
+    monomials, plus the folded monomial.  Only when that test fires are
+    the monomials checked one by one.  Each variable's largest exponent in
+    a product sits on a term that cannot cancel, so the kept monomials show
+    every overflow that the fold's term products show.  After a zero
+    factor the product is zero, and only the spaces are checked.
     """
-    result: Polynomial | None = None
+    body: Polynomial | None = None  # the product of the factors of two or more terms
+    hull = 0  # the bitwise OR of body's monomials
+    mono, coeff = 0, None  # the folded one-term factors; coeff None: none yet
+    zero = False
     for f in factors:
-        if result is None:
-            space = space or f.space
-            _check_space(space, (f,))
-            result = f
-        else:
-            _check_space(space, (f,))
-            result = _dot(space, ((result, f),))
-    if result is None:
         if space is None:
-            raise ValueError("empty product with no variable space")
-        return space.one()
-    return result
+            space = f.space
+        elif f.space is not space:
+            _check_space(space, (f,))
+        if zero:
+            continue
+        terms = f._terms
+        if len(terms) == 1:
+            [(m, c)] = terms.items()
+            mono += m
+            coeff = c if coeff is None else coeff * c
+        elif terms:
+            body = f if body is None else _dot(space, ((body, f),))
+            hull = functools.reduce(operator.or_, body._terms)
+        else:
+            zero = True
+            continue
+        # a folded field at or above the limit shows in mono itself; below
+        # it, hull + mono carries into no other field
+        if ((hull + mono) | mono) & space._guard:
+            space._check_guard((mono,) if body is None else [p + mono for p in body._terms])
+    if space is None:
+        raise ValueError("empty product with no variable space")
+    if zero:
+        return space.zero()
+    if coeff is None:
+        return space.one() if body is None else body
+    folded = Polynomial._raw(space, {mono: coeff})
+    return folded if body is None else _dot(space, ((body, folded),))
 
 
 def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:

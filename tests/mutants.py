@@ -85,6 +85,57 @@ CATALOG = (
            "z_memo = t_memo = {}",
            "the writers' block memo: equal z and t bits stand for different "
            "variables, so the text of a t block must not serve a z block"),
+    Mutant("prod-fold-coefficient",
+           "src/sixvertex/poly.py",
+           "coeff = c if coeff is None else coeff * c",
+           "coeff = c",
+           "prod's fold of one-term factors: their coefficients multiply into "
+           "one running coefficient"),
+    Mutant("prod-hull-test-off",
+           "src/sixvertex/poly.py",
+           "if ((hull + mono) | mono) & space._guard:",
+           "if False:",
+           "prod's overflow test: a folded one-term factor must raise at the "
+           "factor where the left fold raises"),
+    Mutant("prod-hull-carry",
+           "src/sixvertex/poly.py",
+           "if ((hull + mono) | mono) & space._guard:",
+           "if (hull + mono) & space._guard:",
+           "prod's overflow test: a folded field past the limit can carry out "
+           "of hull + mono, so the folded monomial's own guard bits count"),
+    Mutant("weak-walked-strict",
+           "src/sixvertex/lattice.py",
+           "yield from below(p + 1, v - 1 if strict else v, acc + (v,))",
+           "yield from below(p + 1, v - 1, acc + (v,))",
+           "the GT walker: weak interleaving lets equal neighbours, which the "
+           "Schur pattern sums need"),
+    Mutant("swap-conjugate-rows-only",
+           "src/sixvertex/yang_baxter.py",
+           "return PolyMatrix([[m[r, c] for c in order] for r in order])",
+           "return PolyMatrix([[m[r, c] for c in range(4)] for r in order])",
+           "_swap_conjugate: P m P exchanges columns 1 and 2 as well as rows"),
+    Mutant("permute-z-only",
+           "src/sixvertex/poly.py",
+           "source[n + sigma[i] - 1] = n + i",
+           "source[n + i] = n + i",
+           "permute_rank_variables: sigma moves each t_i with its z_i"),
+    Mutant("exponent-guard-off",
+           "src/sixvertex/poly.py",
+           "if functools.reduce(operator.or_, monos, 0) & self._guard:",
+           "if False:",
+           "the exponent guard: an exponent at the limit raises, never wraps "
+           "into the next field"),
+    Mutant("transfer-trace-off-diagonal",
+           "src/sixvertex/lattice.py",
+           "if right == left:",
+           "if True:",
+           "transfer_matrix: the periodic row is the trace of the monodromy, "
+           "right spin equal to left"),
+    Mutant("vertex-entry-e-s-swapped",
+           "src/sixvertex/weights.py",
+           "return 2 * (e < 0) + (s < 0), 2 * (w < 0) + (n < 0)",
+           "return 2 * (s < 0) + (e < 0), 2 * (w < 0) + (n < 0)",
+           "the vertex rule: the weight sits at end2()[2E+S, 2W+N]"),
 )
 
 

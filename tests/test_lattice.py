@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -92,6 +93,18 @@ def test_state_counts():
               (IceKind.GAMMA, (3, 1, 0)): 41}
     for (kind, lam), expected in counts.items():
         assert sum(1 for _ in enumerate_states(BoundarySpec(kind, lam))) == expected
+
+
+@pytest.mark.parametrize("kind", list(IceKind))
+def test_state_counts_at_lambda_zero_are_the_alternating_sign_matrix_counts(kind):
+    # at lambda = 0 the top row is rho, so the strict GT patterns, and the
+    # states, are the n x n alternating sign matrices: prod (3k+1)!/(n+k)!
+    def asm_count(n):
+        return (math.prod(math.factorial(3 * k + 1) for k in range(n))
+                // math.prod(math.factorial(n + k) for k in range(n)))
+
+    counts = [len(list(enumerate_states(BoundarySpec(kind, (0,) * n)))) for n in range(1, 7)]
+    assert counts == [asm_count(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
 
 
 def test_enumeration_order_is_descending():

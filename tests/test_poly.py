@@ -467,6 +467,17 @@ def _cancelling_factors():
     return space, [z + t, z - t, z + i * t, z - i * t]
 
 
+def _prod_multiplies(factors):
+    """The ``_dot`` calls that ``prod`` makes: one per factor of two or more
+    terms after the first, up to the first zero factor, and, with no zero
+    factor, one more to apply the one-term factors to such a product."""
+    sizes = [len(f._terms) for f in factors]
+    nonzero = sizes[:sizes.index(0)] if 0 in sizes else sizes
+    wide = sum(size > 1 for size in nonzero)
+    applied = wide > 0 and 1 in sizes and 0 not in sizes
+    return max(wide - 1, 0) + applied
+
+
 @settings(max_examples=150, deadline=None)
 @given(factor_lists())
 @example(_cancelling_factors())
@@ -477,7 +488,7 @@ def test_prod_matches_the_left_fold_of_products(drawn):
         with counted_multiplies() as calls:
             got = prod(iter(factors), given_space)
         assert got == folded and stored_form(got) == stored_form(folded)
-        assert len(calls) == max(len(factors) - 1, 0)
+        assert len(calls) == _prod_multiplies(factors)
 
 
 def test_prod_overflows_at_the_same_factor_as_the_fold():
@@ -498,6 +509,72 @@ def test_prod_overflows_at_the_same_factor_as_the_fold():
         outcomes.append((len(seen), str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 3
+
+
+def _fold(factors):
+    return functools.reduce(operator.mul, factors)
+
+
+def _overflow_point(multiply, factors):
+    """How many factors ``multiply`` drew before it raised OverflowError,
+    with the message; None when it returned."""
+    seen = []
+
+    def drawn():
+        for f in factors:
+            seen.append(f)
+            yield f
+
+    try:
+        multiply(drawn())
+    except OverflowError as error:
+        return len(seen), str(error)
+    return None
+
+
+HALF = EXPONENT_LIMIT // 2
+_ONE, _TWO = VarSpace(1), VarSpace(2)
+
+
+@pytest.mark.parametrize("factors, at", [
+    pytest.param([_TWO.z(1, EXPONENT_LIMIT - 3), _TWO.t(2), _TWO.z(1, 2), _TWO.z(2), _TWO.z(1)],
+                 5, id="one-term-factors-alone"),
+    # the folded z exponent, 2*HALF + HALF - 2, is past the limit, and
+    # adding it to the OR of the multiplied part's z exponents carries out
+    # of the z field; the folded monomial's own guard bit shows it
+    pytest.param([_ONE.z(1, HALF) + _ONE.z(1, HALF - 1), _ONE.z(1, HALF - 1),
+                  _ONE.z(1, EXPONENT_LIMIT - 1), _ONE.t(1)], 3, id="folded-field-past-the-limit"),
+    pytest.param([_TWO.z(1, EXPONENT_LIMIT - 3), _TWO.t(1), _TWO.z(1) + _TWO.t(1),
+                  _TWO.z(1, 2) + 1], 4, id="wide-factor-after-folded-ones"),
+])
+def test_prod_of_one_term_factors_overflows_at_the_same_factor_as_the_fold(factors, at):
+    expected = _overflow_point(_fold, factors)
+    assert expected is not None and expected[0] == at
+    assert _overflow_point(prod, factors) == expected
+
+
+def test_prod_past_a_zero_factor_is_zero_as_the_fold_is():
+    top = _ONE.z(1, EXPONENT_LIMIT - 1)
+    z = _ONE.z(1)
+    for factors in ([z + 1, _ONE.zero(), top, top], [_ONE.zero(), top, z + 1, top],
+                    [top, _ONE.zero(), top]):
+        assert _fold(factors).is_zero()
+        assert prod(factors) == _ONE.zero()
+    # every later factor's space is still checked
+    with pytest.raises(ValueError, match="variable space mismatch"):
+        prod([_ONE.zero(), top, _TWO.z(1)])
+
+
+def test_prod_whose_monomial_or_passes_the_limit_stays_below_it():
+    # the OR of the z exponents HALF and HALF - 1 is 2*HALF - 1, so the bound
+    # of the product with z^(HALF - 1) passes the limit while its largest
+    # exponent, 2*HALF - 1, stays below it
+    wide = _ONE.z(1, HALF) + _ONE.z(1, HALF - 1)
+    for factors in ([wide, _ONE.z(1, HALF - 1), _ONE.t(1)],
+                    [_ONE.z(1, HALF - 1), Fraction(1, 2) * wide, _ONE.t(1, 3)]):
+        got, folded = prod(factors), _fold(factors)
+        assert got == folded and stored_form(got) == stored_form(folded)
+        assert got.degree_in_z(1) == EXPONENT_LIMIT - 1
 
 
 def test_exact_div_inverts_multiplication():
