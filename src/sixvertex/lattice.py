@@ -256,14 +256,32 @@ def gt_patterns(top: tuple[int, ...], strict: bool,
 
     Each row interleaves the row above it.  With `strict` the rows are also
     strictly decreasing, as for lattice states; otherwise only weakly, as
-    for Schur polynomials.
+    for Schur polynomials.  The walk keeps one stack of rows and one of
+    their interleavers, so consecutive patterns share the row objects of
+    their common prefix: a caller can find the first row that changed by
+    comparing rows with `is`.
     """
-    if not top:
-        yield ()
+    if len(top) < 2:
+        yield (top,) if top else ()
         return
-    for nxt in interleavers(top, strict):
-        for rest in gt_patterns(nxt, strict):
-            yield (top,) + rest
+    n = len(top)
+    rows = [top]
+    walks = [interleavers(top, strict)]
+    while walks:
+        if len(walks) == n - 1:
+            # the rows below a two-entry row have one entry, and each ends
+            # a pattern: its only interleaver is the empty row
+            for row in walks.pop():
+                yield (*rows, row)
+            rows.pop()
+            continue
+        for row in walks[-1]:
+            rows.append(row)
+            walks.append(interleavers(row, strict))
+            break
+        else:
+            walks.pop()
+            rows.pop()
 
 
 def row_sum(top: tuple[int, ...], strict: bool,
@@ -295,21 +313,23 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     """All states for the boundary, in strict-pattern lexicographic order.
 
     Guarded by the ICE_MAX_STATES environment variable (default 10^7).
-    A GT row recurs in many patterns, so the spin rows are built once per
-    distinct GT row and row pair, in a memo local to this call.
+    Consecutive patterns of the walk share a prefix of row objects, so the
+    state builder rebuilds only the spin rows from the first GT row that
+    changed; those come from a memo local to this call, built once per
+    distinct GT row and row pair.
     """
     text = os.environ.get("ICE_MAX_STATES", str(_DEFAULT_MAX_STATES))
     try:
         limit = int(text)
     except ValueError:
         raise ValueError(f"ICE_MAX_STATES must be an integer, got {text!r}") from None
-    memo: dict = {}
+    build = _state_builder(b)
     count = 0
     for rows in gt_patterns(b.top_row(), strict=True):
         count += 1
         if count > limit:
             raise RuntimeError(f"enumeration exceeded ICE_MAX_STATES={limit}")
-        yield _state_from_rows(b, rows, memo)
+        yield build(rows)
 
 
 def brute_force_states(b: BoundarySpec) -> Iterator[LatticeState]:
@@ -408,7 +428,7 @@ def gt_to_state(g: GTPattern, b: BoundarySpec) -> LatticeState:
         raise ValueError(f"pattern rank {g.n} does not match boundary rank {b.n}")
     if g.rows and g.rows[0] != b.top_row():
         raise ValueError(f"top row must be lambda + rho = {b.top_row()}")
-    return _state_from_rows(b, g.rows, {})
+    return _state_builder(b)(g.rows)
 
 
 def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -420,35 +440,55 @@ def _row_spins(b: BoundarySpec, row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(spins)
 
 
-def _state_from_rows(b: BoundarySpec, rows: tuple[tuple[int, ...], ...],
-                     memo: dict) -> LatticeState:
-    """The state of the strict GT pattern `rows`, whose top row is b.top_row().
+def _state_builder(b: BoundarySpec,
+                   ) -> Callable[[tuple[tuple[int, ...], ...]], LatticeState]:
+    """The state builder of `b`: it maps the rows of a strict GT pattern
+    whose top row is b.top_row() to that pattern's state.
 
     The ice rule forces each horizontal spin: the spin to its left times the
-    two vertical spins of the vertex between them.  `memo` maps each GT row
-    of `b` to its vertical spins and each (above, below) pair of GT rows to
-    the horizontal spins between them, built when first needed.  The rows
-    are valid by construction, so nothing is checked: the top row is lambda
-    + rho, the bottom row all +, and ice row j starts at b.left_spin and,
-    as the vertical rows around it hold n - j and n - j - 1 minus spins (an
+    two vertical spins of the vertex between them.  The builder keeps the
+    spin rows of the last pattern it built.  For the next one it finds the
+    first GT row j that is not the same object as the last pattern's row j
+    and rebuilds only vertical rows j..n-1 and horizontal rows from j - 1,
+    the ice row above GT row j, down.  A memo maps each GT row to its
+    vertical spins and each (above, below) pair of GT rows to the
+    horizontal spins between them, built when first needed.  The rows are
+    valid by construction, so nothing is checked: the top row is lambda +
+    rho, the bottom row all +, and ice row j starts at b.left_spin and, as
+    the vertical rows around it hold n - j and n - j - 1 minus spins (an
     odd total), ends at -b.left_spin, which is b.right_spin.
     """
-    rows += ((),)
-    vertical = []
-    for row in rows:
-        spins = memo.get(row)
-        if spins is None:
-            spins = memo[row] = _row_spins(b, row)
-        vertical.append(spins)
-    horizontal = []
-    for j, pair in enumerate(zip(rows, rows[1:])):
-        spins = memo.get(pair)
-        if spins is None:
-            spins = memo[pair] = tuple(accumulate(
-                map(operator.mul, vertical[j], vertical[j + 1]), operator.mul,
-                initial=b.left_spin))
-        horizontal.append(spins)
-    return LatticeState._raw(b, tuple(vertical), tuple(horizontal))
+    n, left = b.n, b.left_spin
+    memo: dict = {}
+    vertical: list = [None] * n + [(1,) * b.m]  # the bottom row is all +
+    horizontal: list = [None] * n
+    last: tuple = ()
+
+    def build(rows: tuple[tuple[int, ...], ...]) -> LatticeState:
+        nonlocal last
+        j = 0
+        for row, old in zip(rows, last):
+            if row is not old:
+                break
+            j += 1
+        last = rows
+        for r in range(j, n):
+            row = rows[r]
+            spins = memo.get(row)
+            if spins is None:
+                spins = memo[row] = _row_spins(b, row)
+            vertical[r] = spins
+        for r in range(max(j - 1, 0), n):
+            pair = (rows[r], rows[r + 1] if r + 1 < n else ())
+            spins = memo.get(pair)
+            if spins is None:
+                spins = memo[pair] = tuple(accumulate(
+                    map(operator.mul, vertical[r], vertical[r + 1]), operator.mul,
+                    initial=left))
+            horizontal[r] = spins
+        return LatticeState._raw(b, tuple(vertical), tuple(horizontal))
+
+    return build
 
 
 def gt_row_sums(g: GTPattern) -> tuple[int, ...]:

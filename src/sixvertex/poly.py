@@ -21,7 +21,9 @@ coefficients:
   that can raise an exponent checks the guard bits of its result and raises
   :class:`OverflowError`, so an exponent never wraps.  ``prod`` tests the
   guard bits on a bound of its product's monomials, and checks them one
-  by one only when that bound reaches the limit.
+  by one only when that bound reaches the limit.  Two monomials whose
+  exponent bits are disjoint add to their OR, which sets no guard bit
+  that neither has, so ``prod`` multiplies such factors with no merge.
 * A coefficient enters as an ``int`` or a ``Fraction``, or as a
   :class:`GaussianRational` when its imaginary part is non-zero.  Arithmetic
   stores whatever its operands produce, so a coefficient computed from a
@@ -325,7 +327,7 @@ class VarSpace(Immutable):
     """The rank n: every polynomial over z_1..z_n, t_1..t_n holds the one
     ``VarSpace(n)``, which also holds the constants of the packed monomial layout."""
 
-    __slots__ = ("n", "_shift", "_guard", "_fields")
+    __slots__ = ("n", "_shift", "_mask", "_guard", "_fields")
 
     def __new__(cls, n: int) -> "VarSpace":
         _require_int(n, "rank")
@@ -338,6 +340,7 @@ class VarSpace(Immutable):
         object.__setattr__(space, "n", n)
         # the total degree sits above the 2n exponent fields
         object.__setattr__(space, "_shift", width * FIELD_BITS)
+        object.__setattr__(space, "_mask", (1 << space._shift) - 1)
         object.__setattr__(space, "_guard", sum(EXPONENT_LIMIT << (FIELD_BITS * k)
                                                 for k in range(width)))
         object.__setattr__(space, "_fields", struct.Struct(f">{width}{_FIELD_FORMAT}"))
@@ -399,7 +402,7 @@ class VarSpace(Immutable):
 
     def _unpack(self, key: int) -> Monomial:
         fields = self._fields
-        return fields.unpack((key & ((1 << self._shift) - 1)).to_bytes(fields.size, "big"))
+        return fields.unpack((key & self._mask).to_bytes(fields.size, "big"))
 
     def _block_layout(self) -> tuple[int, int, Callable[[int], tuple[int, ...]]]:
         """The layout of one n-field block of a packed monomial: its width in
@@ -792,6 +795,18 @@ def _dot(space: VarSpace,
     return Polynomial._raw(space, terms)
 
 
+def _disjoint_product(space: VarSpace, left: Polynomial, right: Polynomial) -> Polynomial:
+    """``left * right`` for two polynomials whose exponent fields share no bit.
+
+    Each field of ``m1 + m2`` is then ``m1 | m2``, with no carry, so no two
+    term products share a monomial and none sets a guard bit: every product
+    is stored as it is, with no merge and no guard check.
+    """
+    right_terms = right._terms.items()
+    return Polynomial._raw(space, {m1 + m2: c1 * c2 for m1, c1 in left._terms.items()
+                                   for m2, c2 in right_terms})
+
+
 def _accumulate(terms: dict, addend: Mapping) -> None:
     """Add `addend` into `terms` in place; drops zeros.
 
@@ -828,21 +843,28 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
 
     A given space must be the factors' own, else the first factor's space
     is; each factor is checked against it.  One-term factors are folded
-    into one monomial and coefficient; ``_dot`` multiplies in each factor
-    of two or more terms, and applies the folded term once at the end.
+    into one monomial and coefficient, which shift each monomial of the
+    product once at the end.  A factor of two or more terms whose
+    exponent fields share no bit with the running product's ``hull`` (the
+    OR of its monomials) cannot make two term products meet or set a
+    guard bit, so ``_disjoint_product`` multiplies it in with no merge,
+    and the new hull is the OR of the two.  Factors whose bits overlap,
+    such as the vertex weights of one ice row, go through ``_dot``; the
+    row weights of a state use disjoint variables (row label i supplies
+    only z_i and t_i), so their product needs no ``_dot`` at all.
     The value, the stored coefficient types and the factor at which an
     exponent overflow raises are those of the left fold ``f1 * f2 * ...``.
 
     After each factor the guard bits are tested on a bound of the running
-    product's monomials: ``hull``, the OR of the multiplied part's
-    monomials, plus the folded monomial.  Only when that test fires are
-    the monomials checked one by one.  Each variable's largest exponent in
-    a product sits on a term that cannot cancel, so the kept monomials show
-    every overflow that the fold's term products show.  After a zero
-    factor the product is zero, and only the spaces are checked.
+    product's monomials: ``hull`` plus the folded monomial.  Only when
+    that test fires are the monomials checked one by one.  Each variable's
+    largest exponent in a product sits on a term that cannot cancel, so
+    the kept monomials show every overflow that the fold's term products
+    show.  After a zero factor the product is zero, and only the spaces
+    are checked.
     """
     body: Polynomial | None = None  # the product of the factors of two or more terms
-    hull = 0  # the bitwise OR of body's monomials
+    hull = 0  # the bitwise OR of body's monomials, within the exponent fields
     mono, coeff = 0, None  # the folded one-term factors; coeff None: none yet
     zero = False
     for f in factors:
@@ -858,8 +880,15 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
             mono += m
             coeff = c if coeff is None else coeff * c
         elif terms:
-            body = f if body is None else _dot(space, ((body, f),))
-            hull = functools.reduce(operator.or_, body._terms)
+            f_hull = functools.reduce(operator.or_, terms)
+            if body is None:
+                body, hull = f, f_hull
+            elif hull & f_hull & space._mask:
+                body = _dot(space, ((body, f),))
+                hull = functools.reduce(operator.or_, body._terms)
+            else:
+                body = _disjoint_product(space, body, f)
+                hull |= f_hull
         else:
             zero = True
             continue
@@ -873,8 +902,9 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
         return space.zero()
     if coeff is None:
         return space.one() if body is None else body
-    folded = Polynomial._raw(space, {mono: coeff})
-    return folded if body is None else _dot(space, ((body, folded),))
+    if body is None:
+        return Polynomial._raw(space, {mono: coeff})
+    return Polynomial._raw(space, {m + mono: c * coeff for m, c in body._terms.items()})
 
 
 def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Polynomial:

@@ -7,8 +7,10 @@ Run from anywhere, with the test extras installed:
 
 The runner copies src/, tests/ and README.md (which a CLI test reads) to a
 temporary directory, replaces one entry's text in that copy, and runs
-``python -m pytest -x -q tests`` there with the copy's src on PYTHONPATH.
-An entry is killed when pytest fails, and survives when it passes.  An
+pytest there with the copy's src on PYTHONPATH: first ``python -m pytest
+-x -q`` on the mutated module's own test files, tests/test_<module>*.py,
+and only if those pass on the whole ``tests`` directory.  An entry is
+killed when either run fails, and survives when both pass.  An
 entry whose text is not found exactly once in its file is stale, so a
 refactor that rewrites a fast path must update its mutants.  The unmutated
 copy runs first and must pass, or no kill would mean anything.  Exit status
@@ -45,16 +47,22 @@ class Mutant(NamedTuple):
 CATALOG = (
     Mutant("accumulate-seed",
            "src/sixvertex/lattice.py",
-           "initial=b.left_spin))",
-           "initial=b.right_spin))",
+           "initial=left))",
+           "initial=-left))",
            "the state builder's horizontal spins: the ice rule starts each row "
            "at the left boundary spin"),
     Mutant("row-pair-key",
            "src/sixvertex/lattice.py",
-           "for j, pair in enumerate(zip(rows, rows[1:])):",
-           "for j, pair in enumerate((below,) for below in rows[1:]):",
+           "pair = (rows[r], rows[r + 1] if r + 1 < n else ())",
+           "pair = (rows[r + 1] if r + 1 < n else (),)",
            "the state builder's memo: horizontal spins depend on the GT rows "
            "above and below, not on the lower row alone"),
+    Mutant("rebuild-one-row-too-deep",
+           "src/sixvertex/lattice.py",
+           "for r in range(j, n):",
+           "for r in range(j + 1, n):",
+           "the state builder's prefix rebuild: the first GT row that changed "
+           "gets new vertical spins too"),
     Mutant("matched-pair-b2",
            "src/sixvertex/weights.py",
            "b2 = delta1_s * a1 * b1 / (delta2_s * a2)",
@@ -103,6 +111,18 @@ CATALOG = (
            "if (hull + mono) & space._guard:",
            "prod's overflow test: a folded field past the limit can carry out "
            "of hull + mono, so the folded monomial's own guard bits count"),
+    Mutant("prod-disjoint-always",
+           "src/sixvertex/poly.py",
+           "elif hull & f_hull & space._mask:",
+           "elif False:",
+           "prod's product rule: a factor whose exponent bits overlap the "
+           "running product's makes term products meet, which must merge"),
+    Mutant("prod-disjoint-hull-dropped",
+           "src/sixvertex/poly.py",
+           "hull |= f_hull",
+           "hull = f_hull",
+           "prod's running hull: after a product with no shared bit it is "
+           "the OR of both operands' hulls, not the new factor's alone"),
     Mutant("weak-walked-strict",
            "src/sixvertex/lattice.py",
            "yield from below(p + 1, v - 1 if strict else v, acc + (v,))",
@@ -146,8 +166,15 @@ def copy_tree(dest: Path) -> None:
     shutil.copy(ROOT / "README.md", dest / "README.md")
 
 
-def run_pytest(dest: Path) -> tuple[int | None, str]:
-    """pytest's exit code in `dest` (None on timeout) and its first failure line."""
+def module_tests(dest: Path, path: str) -> list[str]:
+    """The test files of the module at `path`: tests/test_<module>*.py."""
+    return sorted(str(test.relative_to(dest))
+                  for test in (dest / "tests").glob(f"test_{Path(path).stem}*.py"))
+
+
+def run_pytest(dest: Path, targets: list[str]) -> tuple[int | None, str]:
+    """pytest's exit code on `targets` in `dest` (None on timeout) and its
+    first failure line."""
     env = dict(os.environ, PYTHONPATH=str(dest / "src"))
     probe = subprocess.run(
         [sys.executable, "-c", "import sixvertex; print(sixvertex.__file__)"],
@@ -155,7 +182,7 @@ def run_pytest(dest: Path) -> tuple[int | None, str]:
     if not Path(probe.stdout.strip()).is_relative_to(dest):
         raise RuntimeError(f"the copy imports sixvertex from {probe.stdout.strip()}")
     try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "tests"],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *targets],
                               cwd=dest, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -171,6 +198,7 @@ def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
     with tempfile.TemporaryDirectory(prefix="sixvertex-mutant-") as tmp:
         dest = Path(tmp)
         copy_tree(dest)
+        code, detail = 0, ""
         if mutant is not None:
             target = dest / mutant.path
             source = target.read_text()
@@ -178,7 +206,13 @@ def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
             if found != 1:
                 return "stale", 0.0, f"text found {found} times in {mutant.path}"
             target.write_text(source.replace(mutant.text, mutant.replacement))
-        code, detail = run_pytest(dest)
+            # the module's own tests are a fraction of the suite and kill
+            # most entries; the whole suite runs only if they pass
+            targets = module_tests(dest, mutant.path)
+            if targets:
+                code, detail = run_pytest(dest, targets)
+        if code == 0:
+            code, detail = run_pytest(dest, ["tests"])
     seconds = time.perf_counter() - start
     if mutant is None:
         return ("passed" if code == 0 else "failed"), seconds, detail

@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixvertex import lattice
 from sixvertex.checks import _SPOT_CHECKS, _partition_grid
@@ -157,7 +159,7 @@ def state_without_memo(b, rows):
 
 @pytest.mark.parametrize("kind", list(IceKind))
 def test_enumerated_states_match_a_build_without_memo(kind):
-    for lam in BIJECTION_GRID + [(1, 1, 1, 0, 0)]:
+    for lam in BIJECTION_GRID + [(1, 1, 1, 0, 0)] + list(_SPOT_CHECKS):
         b = BoundarySpec(kind, lam)
         states = list(enumerate_states(b))
         assert states == [state_without_memo(b, rows)
@@ -175,8 +177,19 @@ def test_brute_force_size_guard():
         list(brute_force_states(BoundarySpec(IceKind.GAMMA, (0,) * 5)))
 
 
+@pytest.mark.parametrize("kind", list(IceKind))
+def test_gt_to_state_of_each_walked_pattern_is_the_enumerated_state(kind):
+    # gt_to_state builds each state afresh, enumerate_states only the rows
+    # that changed since the previous pattern
+    for lam in BIJECTION_GRID + list(_SPOT_CHECKS):
+        b = BoundarySpec(kind, lam)
+        assert [gt_to_state(GTPattern(rows), b) for rows in gt_patterns(b.top_row(), True)] \
+            == list(enumerate_states(b))
+
+
 def reference_gt_patterns(top, strict):
-    """The GT walker with its own interleaving loop, as an order oracle."""
+    """The recursive GT walk, one generator per level, with its own
+    interleaving loop: the order oracle of the explicit-stack walker."""
     if not top:
         yield ()
         return
@@ -209,6 +222,22 @@ def test_gt_patterns_keep_the_descending_lex_order():
             patterns = list(gt_patterns(top, strict))
             assert patterns == list(reference_gt_patterns(top, strict))
             assert patterns == sorted(patterns, reverse=True)
+
+
+# the strict walks of rank 6 reach past 300,000 patterns, so each walk is
+# compared up to this many; every weak walk drawn (at most 11,340 patterns,
+# at (4, 4, 3, 1, 0, 0)) and every small strict one is compared whole
+WALK_PREFIX = 12_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)), st.booleans())
+def test_gt_patterns_match_the_recursive_walk(parts, strict):
+    lam = tuple(sorted(parts, reverse=True))
+    top = BoundarySpec(IceKind.GAMMA, lam).top_row() if strict else lam
+    assert list(itertools.islice(gt_patterns(top, strict), WALK_PREFIX)) \
+        == list(itertools.islice(reference_gt_patterns(top, strict), WALK_PREFIX))
 
 
 def pattern_monomial(space, rows):

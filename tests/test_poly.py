@@ -228,37 +228,6 @@ def counted_multiplies():
         yield calls
 
 
-@st.composite
-def small_polynomials(draw):
-    space = VarSpace(draw(st.integers(0, 2)))
-    monos = st.tuples(*[st.integers(0, 2)] * (2 * space.n))
-    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
-    return Polynomial(space, draw(st.dictionaries(monos, coeffs, max_size=3)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polynomials(), st.integers(0, 40))
-def test_power_by_repeated_squaring_matches_the_product(p, e):
-    expected = prod([p] * e, p.space)
-    with counted_multiplies() as calls:
-        assert p ** e == expected
-    assert len(calls) <= 2 * e.bit_length()
-
-
-def test_power_past_the_limit_fails_at_a_squaring():
-    z = VarSpace(1).z(1)
-    message = re.escape("exponent overflow: a product has an exponent at or above "
-                        f"the limit {EXPONENT_LIMIT}")
-    with counted_multiplies() as calls:
-        with pytest.raises(OverflowError, match=message):
-            z ** 40000
-    assert len(calls) <= 16
-    expected = prod([z + 1] * 200)
-    with counted_multiplies() as calls:
-        assert (z + 1) ** 200 == expected
-    assert len(calls) <= 2 * (200).bit_length()
-
-
 def test_varspace_guards():
     with pytest.raises(ValueError):
         VarSpace(-1)
@@ -467,15 +436,31 @@ def _cancelling_factors():
     return space, [z + t, z - t, z + i * t, z - i * t]
 
 
+def _exponent_or(p):
+    """Per variable, the bitwise OR of its exponents over the terms of `p`."""
+    ors = [0] * (2 * p.n)
+    for mono, _ in p.terms():
+        ors = [a | e for a, e in zip(ors, mono)]
+    return ors
+
+
 def _prod_multiplies(factors):
     """The ``_dot`` calls that ``prod`` makes: one per factor of two or more
-    terms after the first, up to the first zero factor, and, with no zero
-    factor, one more to apply the one-term factors to such a product."""
-    sizes = [len(f._terms) for f in factors]
-    nonzero = sizes[:sizes.index(0)] if 0 in sizes else sizes
-    wide = sum(size > 1 for size in nonzero)
-    applied = wide > 0 and 1 in sizes and 0 not in sizes
-    return max(wide - 1, 0) + applied
+    terms, up to the first zero factor, whose exponents share a bit with
+    those of the product of the wide factors before it.  Such a factor
+    cannot make two term products meet, so its product needs no merge; nor
+    does applying the folded one-term factors, which shifts each monomial."""
+    calls, body = 0, None
+    for f in factors:
+        if f.is_zero():
+            break
+        if len(f._terms) < 2:
+            continue
+        if body is not None and any(a & b for a, b in zip(_exponent_or(body),
+                                                          _exponent_or(f))):
+            calls += 1
+        body = f if body is None else body * f
+    return calls
 
 
 @settings(max_examples=150, deadline=None)
@@ -575,6 +560,87 @@ def test_prod_whose_monomial_or_passes_the_limit_stays_below_it():
         got, folded = prod(factors), _fold(factors)
         assert got == folded and stored_form(got) == stored_form(folded)
         assert got.degree_in_z(1) == EXPONENT_LIMIT - 1
+
+
+_THREE = VarSpace(3)
+
+
+def _term_by_term(factors):
+    """The product of `factors` from their exponent tuples, with no packing."""
+    space = factors[0].space
+    return functools.reduce(lambda a, b: Polynomial(space, _tuple_product(a, b)), factors)
+
+
+@pytest.mark.parametrize("factors", [
+    # each variable's exponents share no bit with the running product's
+    pytest.param([_ONE.z(1) + _ONE.z(1, 2), _ONE.z(1, 4) - _ONE.z(1, 8),
+                  _ONE.z(1, 16) + Fraction(1, 3) * _ONE.z(1, 32)],
+                 id="shared-variable-disjoint-bits"),
+    pytest.param(_cancelling_factors()[1], id="shared-variable-cancelling"),
+    pytest.param([_THREE.z(1) + 2 * _THREE.t(1), _THREE.z(2, 3),
+                  _THREE.z(2) - Fraction(1, 3) * _THREE.t(2),
+                  _THREE.z(3) + IMAG * _THREE.t(3) + 1], id="no-variable-in-common"),
+    pytest.param([_ONE.z(1) + 1, _ONE.z(1) + 1, _ONE.z(1) - _ONE.t(1)], id="overlapping"),
+    # the third factor overlaps the first, not the second
+    pytest.param([_ONE.z(1) + 1, _ONE.t(1) + 2, _ONE.z(1) - 3],
+                 id="overlap-after-a-disjoint-product"),
+    pytest.param([_TWO.z(1, HALF) + _TWO.t(2), _TWO.z(1, HALF - 1) - IMAG * _TWO.z(2),
+                  _TWO.t(1, EXPONENT_LIMIT - 1) + _TWO.t(2, HALF)], id="just-under-the-limit"),
+])
+def test_prod_of_wide_factors_matches_the_fold_and_the_term_by_term_product(factors):
+    folded = _fold(factors)
+    with counted_multiplies() as calls:
+        got = prod(factors)
+    assert got == folded == _term_by_term(factors)
+    assert stored_form(got) == stored_form(folded)
+    assert len(calls) == _prod_multiplies(factors)
+
+
+@pytest.mark.parametrize("factors, at", [
+    # z1^HALF times z1^(HALF - 1) shares no bit and reaches the limit only
+    # at the third factor, so the disjoint product's exponents must show
+    pytest.param([_ONE.z(1, HALF) + 1, _ONE.z(1, HALF - 1) + _ONE.t(1), _ONE.z(1)],
+                 3, id="one-term-factor-after-a-disjoint-product"),
+    pytest.param([_ONE.z(1, HALF) + 1, _ONE.t(1) + 1, _ONE.z(1, HALF) + _ONE.t(1)],
+                 3, id="wide-factor-after-a-disjoint-product"),
+    pytest.param([_TWO.z(1, HALF) + _TWO.t(2), _TWO.z(2) + 1, _TWO.z(1, HALF - 1) - _TWO.t(1),
+                  _TWO.z(1) * _TWO.t(2)], 4, id="disjoint-products-then-a-folded-term"),
+])
+def test_prod_of_wide_factors_overflows_at_the_same_factor_as_the_fold(factors, at):
+    expected = _overflow_point(_fold, factors)
+    assert expected is not None and expected[0] == at
+    assert _overflow_point(prod, factors) == expected
+
+
+@st.composite
+def small_polynomials(draw):
+    space = VarSpace(draw(st.integers(0, 2)))
+    monos = st.tuples(*[st.integers(0, 2)] * (2 * space.n))
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
+    return Polynomial(space, draw(st.dictionaries(monos, coeffs, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polynomials(), st.integers(0, 40))
+def test_power_by_repeated_squaring_matches_the_product(p, e):
+    expected = prod([p] * e, p.space)
+    with counted_multiplies() as calls:
+        assert p ** e == expected
+    assert len(calls) <= 2 * e.bit_length()
+
+
+def test_power_past_the_limit_fails_at_a_squaring():
+    z = VarSpace(1).z(1)
+    message = re.escape("exponent overflow: a product has an exponent at or above "
+                        f"the limit {EXPONENT_LIMIT}")
+    with counted_multiplies() as calls:
+        with pytest.raises(OverflowError, match=message):
+            z ** 40000
+    assert len(calls) <= 16
+    expected = prod([z + 1] * 200)
+    with counted_multiplies() as calls:
+        assert (z + 1) ** 200 == expected
+    assert len(calls) <= 2 * (200).bit_length()
 
 
 def test_exact_div_inverts_multiplication():
