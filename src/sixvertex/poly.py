@@ -33,10 +33,11 @@ coefficients:
 
 Exponent tuples and ``GaussianRational`` coefficients appear only at the
 public edge: the constructor, ``terms()``, ``leading()``, ``to_json``,
-``substitute``/``evaluate``, ``permute_rank_variables`` and the degree
-queries.  The two output writers, ``json_pieces`` and ``text_pieces``, build
-no exponent tuple per term: they split each packed monomial into its z and
-t blocks and render each distinct block once.
+``substitute``/``evaluate`` and the degree queries.
+``permute_rank_variables`` moves the packed fields with masks and shifts.
+The two output writers, ``json_pieces`` and ``text_pieces``, build no
+exponent tuple per term: they split each packed monomial into its z and t
+blocks and render each distinct block once.
 """
 
 from __future__ import annotations
@@ -582,7 +583,9 @@ class Polynomial(Immutable):
         heap: list[int] = []  # negated monomials that products added
         quotient: dict[int, Coefficient] = {}
         get, pop = remainder.get, remainder.pop
-        while index < size or heap:
+        # every live remainder monomial is still ahead in the stream or on
+        # the heap, so an empty remainder ends the division
+        while remainder:
             if heap and (index == size or -heap[0] > stream[index]):
                 mono = -heapq.heappop(heap)
             else:
@@ -651,21 +654,32 @@ class Polynomial(Immutable):
         """Apply z_i -> z_sigma(i) and t_i -> t_sigma(i) simultaneously.
 
         ``sigma`` is 1-based: ``sigma[i-1]`` is the image of index ``i``.
+        The fields of z_i and t_i both move by ``i - sigma(i)`` fields, so
+        the fields that move by one displacement move together, with one
+        AND and one shift on the packed monomial.
         """
         n = self.n
         for image in sigma:
             _require_int(image, "permutation entry")
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {sigma}")
-        source = [0] * (2 * n)  # source[k]: old field that moves to field k
-        for i in range(n):
-            source[sigma[i] - 1] = i
-            source[n + sigma[i] - 1] = n + i
         space = self.space
+        moves: dict[int, int] = {}  # displacement in bits -> mask of the fields it moves
+        for i, image in enumerate(sigma, 1):
+            shift = (i - image) * FIELD_BITS
+            for block in (0, 1):
+                moves[shift] = moves.get(shift, 0) | _FIELD_MASK << space._offset(i, block)
+        left = [(mask, shift) for shift, mask in moves.items() if shift >= 0]
+        right = [(mask, -shift) for shift, mask in moves.items() if shift < 0]
+        degree = ~space._mask  # the total degree, which no permutation changes
         terms = {}
         for mono, coeff in self._terms.items():
-            exps = space._unpack(mono)
-            terms[space._key([exps[k] for k in source])] = coeff
+            moved = mono & degree
+            for mask, shift in left:
+                moved |= (mono & mask) << shift
+            for mask, shift in right:
+                moved |= (mono & mask) >> shift
+            terms[moved] = coeff
         return Polynomial._raw(space, terms)
 
     def degree_in_z(self, i: int) -> int:

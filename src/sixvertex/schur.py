@@ -1,8 +1,12 @@
 """Schur polynomials by two independent routes, plus deformed denominators.
 
 The bialternant route divides the alternant of lambda + rho by that of rho,
-the Vandermonde product prod_{i<j} (z_i - z_j); the sign convention is pinned
-by asserting the quotient is positive at a point with increasing positive
+the Vandermonde product prod_{i<j} (z_i - z_j).  When the Weyl dimension of
+lambda is at most n, the quotient has at most n terms and one division by
+the n!-term alternant of rho takes at most n steps.  Otherwise it divides by
+each linear factor z_i - z_j in turn, i ascending, then j: n(n-1)/2
+divisions, each by a two-term divisor.  The sign convention is pinned by
+asserting the quotient is positive at a point with increasing positive
 coordinates.  The pattern route sums monomials over weakly decreasing
 interleaved triangular arrays with top row lambda and never divides, so
 the two implementations check each other.
@@ -19,12 +23,16 @@ from .lattice import (BoundarySpec, _plus_rho, partition_function, row_sum,
 from .poly import Polynomial, VarSpace, prod
 from .weights import IceKind
 
-# each alternant has n! terms: at lambda = 0, rank 9 takes 8-12 s and 207 MiB on a
+# each alternant has n! terms: at lambda = 0, rank 9 takes 6-12 s and 207 MiB on a
 # 2-vCPU VM and each further rank multiplies the time by about the rank
 MAX_BIALTERNANT_RANK = 9
-# the division costs about (quotient terms) x n!, and the Weyl dimension bounds
-# the quotient terms: on a 2-vCPU VM a work of 11,854,080 (rank 7) takes 4-5 s and
-# 99 MiB, and 216,760,320 (rank 8, lambda=(3,2,1,0,...)) took 118 s and 1.3 GiB
+# one division by the alternant of rho costs about (quotient terms) x n!, and the
+# Weyl dimension bounds the quotient terms.  The linear factors cost less: on a
+# 2-vCPU VM a work of 11,854,080 (rank 7, lambda=(3,2,1,0,...)) takes 0.2 s and
+# 20 MiB, where one division took 3.5-4.6 s and 98 MiB.  A work of 216,760,320
+# (rank 8, lambda=(3,2,1,0,...)) took 118 s and 1.3 GiB in one division and takes
+# 2.4 s and 57 MiB by the linear factors, but stays refused until a bound for
+# the linear route is measured.
 MAX_BIALTERNANT_WORK = 5 * 10**7
 
 
@@ -57,8 +65,15 @@ def schur_bialternant(lam: Sequence[int]) -> Polynomial:
 def _schur_bialternant(lam: tuple[int, ...]) -> Polynomial:
     n = len(lam)
     space = VarSpace(n)
-    numerator = _alternant(space, _plus_rho(lam))
-    quotient = numerator.exact_div(_alternant(space, _plus_rho((0,) * n)))
+    quotient = _alternant(space, _plus_rho(lam))
+    if _weyl_dimension(lam) <= n:
+        # at most n quotient terms: one division by the n!-term alternant of
+        # rho takes at most n steps
+        quotient = quotient.exact_div(_alternant(space, _plus_rho((0,) * n)))
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                quotient = quotient.exact_div(space.z(i + 1) - space.z(j + 1))
     value = quotient.evaluate([2 ** i for i in range(n)], [0] * n)
     if value.im or value.re <= 0:
         raise ValueError(f"sign convention violated: value {value} at 1,2,4,...")

@@ -136,9 +136,30 @@ CATALOG = (
            "_swap_conjugate: P m P exchanges columns 1 and 2 as well as rows"),
     Mutant("permute-z-only",
            "src/sixvertex/poly.py",
-           "source[n + sigma[i] - 1] = n + i",
-           "source[n + i] = n + i",
+           "for block in (0, 1):",
+           "for block in (0,):",
            "permute_rank_variables: sigma moves each t_i with its z_i"),
+    Mutant("exact-div-one-term-early",
+           "src/sixvertex/poly.py",
+           "while remainder:",
+           "while len(remainder) > 1:",
+           "exact_div: the division ends only when the remainder is empty"),
+    Mutant("bialternant-last-factor-skipped",
+           "src/sixvertex/schur.py",
+           "range(i + 1, n)",
+           "range(i + 1, n - 1)",
+           "the bialternant by linear factors: it divides by z_i - z_j for "
+           "every i < j, also for j = n"),
+    Mutant("dot-repeat-stored",
+           "src/sixvertex/poly.py",
+           "terms[mono] = c1 * c2 if acc is None else acc + c1 * c2",
+           "terms[mono] = c1 * c2",
+           "_dot: a term product whose monomial is already stored adds to it"),
+    Mutant("poly-sum-addend-dropped",
+           "src/sixvertex/poly.py",
+           "    for p in addends:",
+           "    for p in list(addends)[1:]:",
+           "poly_sum: every addend goes into the sum"),
     Mutant("exponent-guard-off",
            "src/sixvertex/poly.py",
            "if functools.reduce(operator.or_, monos, 0) & self._guard:",

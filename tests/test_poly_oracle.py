@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sixvertex.poly import IMAG, GaussianRational, Polynomial, VarSpace
+from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, Polynomial, VarSpace
+from sixvertex.schur import deformed_denominator, schur_bialternant
+from sixvertex.weights import IceKind
 
 MAX_RANK = 6
 
@@ -135,16 +137,32 @@ def difference_of_squares(draw):
     return space, (c * (d + e), d - e)
 
 
+def _check_against_classical_division(a, b):
+    for dividend in (a * b, a * b + 1):
+        assert (_outcome(Polynomial.exact_div, dividend, b)
+                == _outcome(_classical_div, dividend, b))
+    assert _classical_div(a * b, b) == a
+
+
 @SETTINGS
 @given(st.one_of(rank_and_polys(2), difference_of_squares()))
 def test_exact_div_matches_classical_division(data):
     space, (a, b) = data
     if b.is_zero():
         return
-    for dividend in (a * b, a * b + 1):
-        assert (_outcome(Polynomial.exact_div, dividend, b)
-                == _outcome(_classical_div, dividend, b))
-    assert _classical_div(a * b, b) == a
+    _check_against_classical_division(a, b)
+
+
+@pytest.mark.parametrize("kind, lam", [(IceKind.GAMMA, (2, 1, 0)),
+                                       (IceKind.DELTA, (1, 1, 0, 0)),
+                                       (IceKind.GAMMA, (2, 1, 0, 0))])
+def test_exact_div_matches_classical_division_on_den_times_schur(kind, lam):
+    # den*s divided by den empties the remainder after |s| of its monomials,
+    # and divided by s after |den|; den*s + 1 reads every monomial
+    s = schur_bialternant(lam)
+    den = deformed_denominator(kind, len(lam))
+    _check_against_classical_division(s, den)
+    _check_against_classical_division(den, s)
 
 
 @SETTINGS
@@ -255,6 +273,33 @@ def test_permute_rank_variables_is_a_group_action(data):
     square = p * p
     assert (square.permute_rank_variables(sigma)
             == p.permute_rank_variables(sigma) ** 2)
+
+
+def _reference_permutation(p, sigma):
+    """z_i -> z_sigma(i) and t_i -> t_sigma(i), one exponent tuple per term."""
+    n = p.n
+    source = [0] * (2 * n)  # source[k]: the old field that moves to field k
+    for i in range(n):
+        source[sigma[i] - 1] = i
+        source[n + sigma[i] - 1] = n + i
+    return Polynomial(p.space, {tuple(mono[k] for k in source): coeff
+                                for mono, coeff in p.terms()})
+
+
+@st.composite
+def positive_rank_poly_and_perm(draw):
+    space = VarSpace(draw(st.integers(1, MAX_RANK)))
+    p = draw(polynomials(space, max_terms=8, max_exp=EXPONENT_LIMIT - 1))
+    return p, draw(st.permutations(list(range(1, space.n + 1))))
+
+
+@SETTINGS
+@given(positive_rank_poly_and_perm())
+def test_permute_rank_variables_matches_the_reference(data):
+    p, sigma = data
+    identity = list(range(1, p.n + 1))
+    for perm in (sigma, identity):
+        assert p.permute_rank_variables(perm) == _reference_permutation(p, perm)
 
 
 SHAPES = ("real", "imaginary", "complex")

@@ -4,11 +4,13 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixvertex import schur
 from sixvertex.checks import _SPOT_CHECKS, _partition_grid
-from sixvertex.lattice import gt_patterns
-from sixvertex.poly import GaussianRational, VarSpace, poly_sum, prod
+from sixvertex.lattice import _plus_rho, gt_patterns
+from sixvertex.poly import GaussianRational, Polynomial, VarSpace, poly_sum, prod
 from sixvertex.schur import (deformed_denominator, s_gamma, schur_bialternant,
                              schur_pattern_sum)
 from sixvertex.weights import IceKind
@@ -86,6 +88,65 @@ def test_methods_agree_on_small_grid():
             assert schur_bialternant(lam) == schur_pattern_sum(lam)
     for lam in LARGER_PARTITIONS:
         assert schur_bialternant(lam) == schur_pattern_sum(lam)
+
+
+def ratio_bialternant(lam):
+    """The alternant of lambda + rho divided in one step by that of rho."""
+    space = VarSpace(len(lam))
+    return schur._alternant(space, _plus_rho(lam)).exact_div(
+        schur._alternant(space, _plus_rho((0,) * len(lam))))
+
+
+partitions = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(partitions)
+def test_bialternant_matches_the_ratio_and_the_pattern_sum(lam):
+    assert schur_bialternant(lam) == ratio_bialternant(lam) == schur_pattern_sum(lam)
+
+
+def one_step_partitions():
+    """lambda = 0, (c^n), (c+1, c^(n-1)) and (c^(n-1), c-1): Weyl dimension at most n."""
+    for n in range(1, 8):
+        yield (0,) * n
+        for c in range(1, 4):
+            yield (c,) * n
+            yield (c + 1,) + (c,) * (n - 1)
+            yield (c,) * (n - 1) + (c - 1,)
+
+
+def test_bialternant_at_weyl_dimension_at_most_n():
+    for lam in one_step_partitions():
+        assert schur._weyl_dimension(lam) <= len(lam), lam
+        assert schur_bialternant(lam) == ratio_bialternant(lam) == schur_pattern_sum(lam), lam
+
+
+def test_bialternant_at_rank_7():
+    lam = (3, 2, 1, 0, 0, 0, 0)
+    assert schur_bialternant(lam) == ratio_bialternant(lam) == schur_pattern_sum(lam)
+
+
+def test_bialternant_divides_once_or_by_each_linear_factor(monkeypatch):
+    calls = []
+    exact_div = Polynomial.exact_div
+
+    def counted(self, divisor):
+        calls.append(len(divisor.terms()))
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Polynomial, "exact_div", counted)
+    # the grid holds 40 partitions of Weyl dimension at most n and 86 above it
+    for lam in _partition_grid(4, 4) + list(LARGER_PARTITIONS):
+        n = len(lam)
+        calls.clear()
+        schur._schur_bialternant(lam)
+        if schur._weyl_dimension(lam) <= n:
+            assert calls == [factorial(n)], lam
+        else:
+            assert calls == [2] * (n * (n - 1) // 2), lam
 
 
 def test_alternant_of_rho_is_the_vandermonde():
