@@ -1,23 +1,27 @@
 """The verification suite: each claim of the paper as exact checks.
 
-Every function returns a list of records built by ``yang_baxter.report``;
-:func:`suite` groups them all for ``verify all`` and the acceptance tests.
-Randomized checks are seeded and embed the seed in the check name.
+Every function returns a list of records built by ``yang_baxter.report``.
+:data:`CATALOG` has one row per group of ``verify all``, and :func:`suite`,
+``verify tokuyama``, ``verify statement-b`` and the acceptance tests read
+it.  Every group runs for one input through one rule, :func:`run`: a check
+that raises reports one FAIL under the group's name.  Randomized checks are
+seeded and embed the seed in the check name.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
                       brute_force_states, enumerate_states, gt_row_sums,
                       gt_to_state, partition_function, state_to_gt,
-                      state_weight, tokuyama_sum, transfer_matrix)
-from .poly import Polynomial, VarSpace, _require_int, prod
-from .schur import deformed_denominator, schur_bialternant
+                      state_weight, tokuyama_sum, transfer_matrix,
+                      validate_partition)
+from .poly import GuardError, Polynomial, VarSpace, _require_int, prod
+from .schur import _require_bialternant_bounds, deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
                       random_free_fermionic, random_matched_pair,
                       random_mismatched_pair, solve_R_from_ST)
@@ -46,14 +50,33 @@ def _require_at_least(value: int, name: str, flag: str, least: int) -> None:
     or columns and reports success."""
     _require_int(value, name)
     if value < least:
-        raise ValueError(f"{flag} must be at least {least}")
+        raise GuardError(f"{flag} must be at least {least}")
 
 
-def factorization(kind: IceKind, lam: tuple[int, ...], z_fun: Polynomial,
-                  schur: Polynomial) -> list[dict]:
-    """Z = deformed denominator * Schur polynomial, from the Z and s_lambda of lam."""
-    expected = deformed_denominator(kind, len(lam)) * schur
-    return [report(f"factorization {kind.value} {_lam_label(lam)}", z_fun - expected)]
+class Partition:
+    """The input of a per-partition group: lam, with s_lambda, Z_Gamma and
+    Z_Delta each computed on first use and shared by every group run on it."""
+
+    def __init__(self, lam: tuple[int, ...]):
+        self.lam = lam
+        self.label = _lam_label(lam)
+        self._z_funs: dict[IceKind, Polynomial] = {}
+
+    @functools.cached_property
+    def schur(self) -> Polynomial:
+        return schur_bialternant(self.lam)
+
+    def z_fun(self, kind: IceKind) -> Polynomial:
+        if kind not in self._z_funs:
+            self._z_funs[kind] = partition_function(BoundarySpec(kind, self.lam))
+        return self._z_funs[kind]
+
+
+def factorization(kind: IceKind, partition: Partition) -> list[dict]:
+    """Z = deformed denominator * Schur polynomial."""
+    expected = deformed_denominator(kind, len(partition.lam)) * partition.schur
+    return [report(f"factorization {kind.value} {partition.label}",
+                   partition.z_fun(kind) - expected)]
 
 
 def worked_example() -> list[dict]:
@@ -178,14 +201,11 @@ def bijection(max_n: int, max_part: int) -> list[dict]:
     return reports
 
 
-def tokuyama(lam: tuple[int, ...]) -> list[dict]:
+def tokuyama(partition: Partition) -> list[dict]:
     """The deformed pattern sums against Z_Gamma and the single-t product formula."""
-    schur = schur_bialternant(lam)  # first: its guards fire before the state sum
-    return _tokuyama(lam, schur, partition_function(BoundarySpec(IceKind.GAMMA, lam)))
-
-
-def _tokuyama(lam: tuple[int, ...], schur: Polynomial, z_gamma: Polynomial) -> list[dict]:
-    label = _lam_label(lam)
+    schur = partition.schur  # first: its guards fire before the state sum
+    z_gamma = partition.z_fun(IceKind.GAMMA)
+    lam, label = partition.lam, partition.label
     n = len(lam)
     space = VarSpace(n)
     single_target = prod(
@@ -197,34 +217,25 @@ def _tokuyama(lam: tuple[int, ...], schur: Polynomial, z_gamma: Polynomial) -> l
         report(f"tokuyama single-t {label}", tokuyama_sum(lam, False) - single_target)]
 
 
-def statement_b(lam: tuple[int, ...]) -> list[dict]:
+def statement_b(partition: Partition) -> list[dict]:
     """Cross-kind identity den_Delta * Z_Gamma = Z_Delta * den_Gamma.
 
     Verified by cancellation: each side is divided exactly by both
     denominators and the quotients compared, which is equivalent in the
     polynomial ring and avoids multiplying millions of terms at rank 5.
-    The divisions must themselves be exact or the check fails.
+    A division that is not exact raises, and :func:`run` reports it.
     """
-    return _statement_b(lam, *(partition_function(BoundarySpec(k, lam)) for k in _KINDS))
+    n = len(partition.lam)
+    q_gamma, q_delta = (partition.z_fun(kind).exact_div(deformed_denominator(kind, n))
+                        for kind in _KINDS)
+    return [report(f"statement-b {partition.label}", q_gamma - q_delta)]
 
 
-def _statement_b(lam: tuple[int, ...], z_gamma: Polynomial,
-                 z_delta: Polynomial) -> list[dict]:
-    name = f"statement-b {_lam_label(lam)}"
-    n = len(lam)
-    try:
-        q_gamma = z_gamma.exact_div(deformed_denominator(IceKind.GAMMA, n))
-        q_delta = z_delta.exact_div(deformed_denominator(IceKind.DELTA, n))
-    except ValueError as exc:
-        return [report(name, False, {"error": str(exc)})]
-    return [report(name, q_gamma - q_delta)]
-
-
-def symmetry_degrees(lam: tuple[int, ...], z_gamma: Polynomial,
-                     z_delta: Polynomial) -> list[dict]:
+def symmetry_degrees(partition: Partition) -> list[dict]:
     """Train-argument symmetry of (t_{k+1} z_k + z_{k+1}) Z_Gamma, and t-degrees."""
-    label = _lam_label(lam)
-    n = len(lam)
+    label = partition.label
+    z_gamma, z_delta = (partition.z_fun(kind) for kind in _KINDS)
+    n = len(partition.lam)
     space = VarSpace(n)
     reports = []
     for k in range(1, n):
@@ -274,7 +285,7 @@ def transfer_commute(max_cols: int) -> list[dict]:
     """Gamma row-transfer matrices with labels 1 and 2 commute, 1..max_cols columns."""
     _require_at_least(max_cols, "max_cols", "--cols", 1)
     if max_cols > MAX_TRANSFER_COLS:
-        raise ValueError(f"--cols must be at most {MAX_TRANSFER_COLS}")
+        raise GuardError(f"--cols must be at most {MAX_TRANSFER_COLS}")
     space = VarSpace(2)
     w1, w2 = gamma(space, 1), gamma(space, 2)
     reports = []
@@ -285,34 +296,79 @@ def transfer_commute(max_cols: int) -> list[dict]:
     return reports
 
 
-def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
-    """Every check of ``verify all``, grouped by claim, in the order they run.
+def run(group: str, label: str, check: Callable[..., list[dict]], *args) -> list[dict]:
+    """The reports of ``check(*args)``, one group run for one input.
 
-    The per-partition checks run over every partition with at most max_n
+    A ValueError or ZeroDivisionError raised inside becomes one FAIL named
+    ``<group> <label>`` (``<group>`` when the label is empty), with the
+    witness ``{"error": text}``, so that every other group still runs.  A
+    GuardError is a refusal before any work, not a result, and goes through.
+    """
+    try:
+        return check(*args)
+    except GuardError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        return [report(f"{group} {label}" if label else group, False, {"error": str(exc)})]
+
+
+class Group(NamedTuple):
+    """One group of ``verify all``: one claim of the paper."""
+
+    name: str
+    criterion: int  # its acceptance test, test_criterion_NN_*
+    count: int  # its checks in suite(4, 4)
+    check: Callable[..., list[dict]]
+    args: tuple | None  # suite's arguments to check; None: one Partition per run
+
+
+CATALOG = (
+    Group("factorization gamma", 1, 128, functools.partial(factorization, IceKind.GAMMA), None),
+    Group("factorization delta", 2, 128, functools.partial(factorization, IceKind.DELTA), None),
+    Group("tokuyama", 8, 256, tokuyama, None),
+    Group("statement-b", 9, 128, statement_b, None),
+    Group("symmetry-degrees", 10, 559, symmetry_degrees, None),
+    Group("worked-example", 3, 3, worked_example, ()),
+    Group("ybe", 4, 20, ybe, (None, (False, True))),
+    Group("group-law", 5, 9, group_law, (100, 0)),
+    Group("construction", 6, 2, construction, (50, 1)),
+    Group("gt-bijection", 7, 71, bijection, (3, 3)),
+    Group("triangularity", 11, 5, triangularity, ()),
+    Group("yb-system", 12, 64, yb_system,
+          (tuple(itertools.product(_KINDS, repeat=2)), (False, True))),
+    Group("transfer-commute", 13, 4, transfer_commute, (4,)),
+)
+
+
+def for_partition(group: str, lam: Sequence[int]) -> list[dict]:
+    """The reports of the per-partition group named ``group`` at lam."""
+    check = next(row.check for row in CATALOG if row.name == group and row.args is None)
+    partition = Partition(validate_partition(lam))
+    return run(group, partition.label, check, partition)
+
+
+def suite(max_n: int, max_part: int) -> dict[str, list[dict]]:
+    """Every group of CATALOG, in its order, for ``verify all``.
+
+    The per-partition groups run over every partition with at most max_n
     parts, each at most max_part, plus two rank-5 spot checks when
-    max_n >= 4 and max_part >= 2.
+    max_n >= 4 and max_part >= 2.  The grid bounds, then the bialternant's
+    bounds at every partition, are checked before any check runs.
     """
     _require_at_least(max_n, "max_n", "--max-n", 0)
     _require_at_least(max_part, "max_part", "--max-part", 0)
     lambdas = _partition_grid(max_n, max_part)
     if max_n >= 4 and max_part >= 2:
         lambdas += _SPOT_CHECKS
-    groups: dict[str, list[dict]] = defaultdict(list)
     for lam in lambdas:
-        # s_lambda, Z_Gamma and Z_Delta once for all the checks of lam
-        schur = schur_bialternant(lam)  # first: its guards fire before any state sum
-        z_funs = [partition_function(BoundarySpec(kind, lam)) for kind in _KINDS]
-        for kind, z_fun in zip(_KINDS, z_funs):
-            groups[f"factorization {kind.value}"] += factorization(kind, lam, z_fun, schur)
-        groups["tokuyama"] += _tokuyama(lam, schur, z_funs[0])
-        groups["statement-b"] += _statement_b(lam, *z_funs)
-        groups["symmetry-degrees"] += symmetry_degrees(lam, *z_funs)
-    groups["worked-example"] = worked_example()
-    groups["ybe"] = ybe(hats=(False, True))
-    groups["group-law"] = group_law(100, 0)
-    groups["construction"] = construction(50, 1)
-    groups["gt-bijection"] = bijection(3, 3)
-    groups["triangularity"] = triangularity()
-    groups["yb-system"] = yb_system(itertools.product(_KINDS, repeat=2), (False, True))
-    groups["transfer-commute"] = transfer_commute(4)
-    return dict(groups)
+        _require_bialternant_bounds(lam)
+    groups: dict[str, list[dict]] = {row.name: [] for row in CATALOG}
+    for lam in lambdas:
+        partition = Partition(lam)  # its values go once its groups are done
+        for row in CATALOG:
+            if row.args is None:
+                groups[row.name] += run(row.name, partition.label, row.check, partition)
+    for row in CATALOG:
+        if row.args is not None:
+            groups[row.name] = run(row.name, "", row.check, *row.args)
+    return groups

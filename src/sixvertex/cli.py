@@ -1,11 +1,14 @@
 """Command-line front end: computations and the verification suite's output.
 
 Every verify subcommand prints one PASS/FAIL line per check, sorted, then a
-summary count; exit codes are 0 when all checks pass, 1 on a verification
-failure, 2 on usage errors or guard violations, and 141 (128 + SIGPIPE)
-when the reader closes stdout early, as `| head` does.  The checks themselves
-live in :mod:`sixvertex.checks`; randomized ones embed their seed in the
-check name, so identical argv always produces byte-identical output.
+summary count.  Exit codes: 0 when all checks pass; 1 when one fails, also
+by raising a ValueError or ZeroDivisionError, which ``checks.run`` prints
+as a FAIL; 2 on usage errors and guard violations (a GuardError, an
+exceeded ICE_MAX_STATES, an exponent at its limit); and 141 (128 + SIGPIPE)
+when the reader closes stdout early, as `| head` does.  The checks
+themselves live in :mod:`sixvertex.checks`; randomized ones embed their
+seed in the check name, so identical argv always produces byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -105,9 +108,10 @@ _VERIFY_COMMANDS = (
     ("ybe", "Yang-Baxter commutator checks", lambda a: checks.ybe(a.kinds, (a.hatted,)),
      ("--kinds", dict(type=_kinds_arg,
                       help="three ice kinds, e.g. GGD or gamma,gamma,delta")), _HATTED),
-    ("tokuyama", "deformed pattern-sum checks", lambda a: checks.tokuyama(a.lam), _LAMBDA),
+    ("tokuyama", "deformed pattern-sum checks",
+     lambda a: checks.for_partition("tokuyama", a.lam), _LAMBDA),
     ("statement-b", "cross-kind partition-function identity",
-     lambda a: checks.statement_b(a.lam), _LAMBDA),
+     lambda a: checks.for_partition("statement-b", a.lam), _LAMBDA),
     ("group-law", "composition group-law checks", lambda a: checks.group_law(a.samples, a.seed),
      ("--samples", dict(type=int, default=100)), ("--seed", dict(type=int, default=0))),
     ("yb-system", "eight-axiom system checks",
@@ -123,19 +127,21 @@ _VERIFY_COMMANDS = (
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    def add_commands(sub, commands, wrap=lambda handler: handler) -> None:
+    def add_commands(sub, commands, wrap=lambda name, handler: handler) -> None:
         for name, help_text, handler, *options in commands:
             command = sub.add_parser(name, help=help_text)
             for flag, keywords in options:
                 command.add_argument(flag, **keywords)
-            command.set_defaults(handler=wrap(handler))
+            command.set_defaults(handler=wrap(name, handler))
     parser = argparse.ArgumentParser(prog="sixvertex", description=(
         "Exact six/eight-vertex computations and verification."))
     sub = parser.add_subparsers(dest="command", required=True)
     add_commands(sub, _COMMANDS)
     verify = sub.add_parser("verify", help="run verification checks")
+    # each verify command runs through the rule of checks.run, under its own name
     add_commands(verify.add_subparsers(dest="verify_command", required=True),
-                 _VERIFY_COMMANDS, lambda run: lambda args: _finish(run(args)))
+                 _VERIFY_COMMANDS,
+                 lambda name, run: lambda args: _finish(checks.run(name, "", run, args)))
     return parser
 
 

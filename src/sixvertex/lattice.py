@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
+from .poly import GuardError, Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
 from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
 
 _DEFAULT_MAX_STATES = 10_000_000
@@ -80,13 +80,6 @@ class BoundarySpec(Immutable):
 
     def top_row_spins(self) -> tuple[int, ...]:
         return self._top_spins
-
-    def row_label(self, r: int) -> int:
-        """Variable index for physical row r (0-based from the top)."""
-        _require_int(r, "row")
-        if not 0 <= r < self.n:
-            raise IndexError(f"row {r} out of range for {self.n} rows")
-        return _row_label(self.kind, self.n, r)
 
     def __repr__(self) -> str:
         return f"BoundarySpec({self.kind.value}, {self.lam})"
@@ -322,7 +315,7 @@ def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:
     try:
         limit = int(text)
     except ValueError:
-        raise ValueError(f"ICE_MAX_STATES must be an integer, got {text!r}") from None
+        raise GuardError(f"ICE_MAX_STATES must be an integer, got {text!r}") from None
     build = _state_builder(b)
     count = 0
     for rows in gt_patterns(b.top_row(), strict=True):

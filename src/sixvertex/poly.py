@@ -33,7 +33,7 @@ coefficients:
 
 Exponent tuples and ``GaussianRational`` coefficients appear only at the
 public edge: the constructor, ``terms()``, ``leading()``, ``to_json``,
-``substitute``/``evaluate`` and the degree queries.
+``substitute``/``evaluate`` and ``degree_in_t``.
 ``permute_rank_variables`` moves the packed fields with masks and shifts.
 The two output writers, ``json_pieces`` and ``text_pieces``, build no
 exponent tuple per term: they split each packed monomial into its z and t
@@ -149,12 +149,6 @@ class GaussianRational(Immutable):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
         return self
-
-    @classmethod
-    def coerce(cls, value: "GaussianRational | Fraction | int | str") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(value)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -281,6 +275,12 @@ def _parts(coeff: Coefficient) -> tuple[int | Fraction, int | Fraction]:
 
 
 _SPACES: dict[int, "VarSpace"] = {}  # the one VarSpace of each rank
+
+
+class GuardError(ValueError):
+    """An input refused before any work starts, such as a count below one or
+    a bialternant past its bounds; the CLI exits 2 on it, and no check
+    reports it as a FAIL."""
 
 
 def _require_int(value: object, name: str) -> None:
@@ -681,10 +681,6 @@ class Polynomial(Immutable):
                 moved |= (mono & mask) >> shift
             terms[moved] = coeff
         return Polynomial._raw(space, terms)
-
-    def degree_in_z(self, i: int) -> int:
-        """Largest exponent of z_i; -1 for the zero polynomial."""
-        return self._degree(self.space._offset(i, 0))
 
     def degree_in_t(self, i: int) -> int:
         """Largest exponent of t_i; -1 for the zero polynomial."""

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .lattice import (BoundarySpec, _plus_rho, partition_function, row_sum,
                       validate_partition)
-from .poly import Polynomial, VarSpace, prod
+from .poly import GuardError, Polynomial, VarSpace, prod
 from .weights import IceKind
 
 # each alternant has n! terms: at lambda = 0, rank 9 takes 6-12 s and 207 MiB on a
@@ -47,19 +47,24 @@ def schur_bialternant(lam: Sequence[int]) -> Polynomial:
     """The alternant of lambda + rho divided by the alternant of rho.
 
     Ranks above MAX_BIALTERNANT_RANK, and a work of (Weyl dimension) x n! above
-    MAX_BIALTERNANT_WORK, raise ValueError before any term is built.
+    MAX_BIALTERNANT_WORK, raise GuardError before any term is built.
     """
     lam = validate_partition(lam)
+    _require_bialternant_bounds(lam)
+    return _schur_bialternant(lam)
+
+
+def _require_bialternant_bounds(lam: tuple[int, ...]) -> None:
+    """Refuse a partition past the bialternant's rank or work bound."""
     n = len(lam)
     if n > MAX_BIALTERNANT_RANK:
-        raise ValueError(f"the bialternant of rank {n} sums {math.factorial(n)} "
+        raise GuardError(f"the bialternant of rank {n} sums {math.factorial(n)} "
                          f"signed terms; the limit is rank {MAX_BIALTERNANT_RANK}")
     dimension = _weyl_dimension(lam)
     work = dimension * math.factorial(n)
     if work > MAX_BIALTERNANT_WORK:
-        raise ValueError(f"the bialternant of rank {n} has work {work} (Weyl "
+        raise GuardError(f"the bialternant of rank {n} has work {work} (Weyl "
                          f"dimension {dimension} x {n}!); the limit is {MAX_BIALTERNANT_WORK}")
-    return _schur_bialternant(lam)
 
 
 def _schur_bialternant(lam: tuple[int, ...]) -> Polynomial:

@@ -177,6 +177,18 @@ CATALOG = (
            "return 2 * (e < 0) + (s < 0), 2 * (w < 0) + (n < 0)",
            "return 2 * (s < 0) + (e < 0), 2 * (w < 0) + (n < 0)",
            "the vertex rule: the weight sits at end2()[2E+S, 2W+N]"),
+    Mutant("rule-swallows-guard",
+           "src/sixvertex/checks.py",
+           "    except GuardError:\n        raise\n",
+           "",
+           "checks.run: a GuardError is a refusal before any work, which exits "
+           "2, not a FAIL of the check it stopped"),
+    Mutant("delta-sign-dropped",
+           "src/sixvertex/weights.py",
+           "VertexWeights(*(-getattr(inverse, f) for f in VertexWeights._FIELDS))",
+           "VertexWeights(*(getattr(inverse, f) for f in VertexWeights._FIELDS))",
+           "r_weights_params: the scaled inverse of a Delta Y carries the scalar "
+           "-(d1 d2), so it is negated"),
 )
 
 

@@ -15,7 +15,7 @@ import pytest
 from sixvertex import checks, cli, schur
 from sixvertex.cli import main
 from sixvertex.lattice import BoundarySpec, partition_function
-from sixvertex.poly import Polynomial
+from sixvertex.poly import Polynomial, VarSpace
 from sixvertex.weights import IceKind
 from sixvertex.yang_baxter import report
 
@@ -337,6 +337,55 @@ def test_suite_computes_each_partition_function_and_schur_polynomial_once(monkey
                               + [(IceKind.GAMMA, (0, 0))])
 
 
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_a_check_that_raises_fails_under_its_group_and_partition(capsys, monkeypatch, error):
+    argv = ("verify", "all", "--max-n", "1", "--max-part", "1")
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0
+    real = next(row.check for row in checks.CATALOG if row.name == "tokuyama")
+
+    def raising(partition):
+        if partition.lam == (1,):
+            raise error("no sum")
+        return real(partition)
+
+    monkeypatch.setattr(checks, "CATALOG", tuple(
+        row._replace(check=raising) if row.name == "tokuyama" else row
+        for row in checks.CATALOG))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    # the two tokuyama checks at lambda=(1) become one FAIL; every other line stays
+    lines = clean.splitlines()[:-1]
+    kept = [line for line in lines if not line.startswith("PASS tokuyama ")
+            or not line.endswith(" lambda=(1)")]
+    assert len(kept) == len(lines) - 2
+    fail = 'FAIL tokuyama lambda=(1) witness={"error": "no sum"}'
+    assert out.splitlines() == sorted(kept + [fail]) + [
+        f"{len(kept)}/{len(kept) + 1} checks passed"]
+
+
+def test_a_command_whose_check_raises_fails_under_its_name(capsys, monkeypatch):
+    # an inexact division in statement B fails under the group and partition
+    monkeypatch.setattr(checks, "deformed_denominator",
+                        lambda kind, n: VarSpace(n).z(1) * 2 + VarSpace(n).t(1))
+    code, out, err = run_cli(capsys, "verify", "statement-b", "--lambda", "1,0")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        'FAIL statement-b lambda=(1,0) witness={"error": "inexact division, remainder '
+        't1*z2^2 - 1/2*t1^2*z2 + z1^2 + z1*z2"}',
+        "0/1 checks passed"]
+
+    # a command of no partition fails under the command's name
+    def raising():
+        raise ValueError("not scalar")
+
+    monkeypatch.setattr(checks, "triangularity", raising)
+    code, out, err = run_cli(capsys, "verify", "triangularity")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ['FAIL triangularity witness={"error": "not scalar"}',
+                                "0/1 checks passed"]
+
+
 def test_rank_ten_bialternant_is_refused_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the rank guard")
@@ -348,9 +397,14 @@ def test_rank_ten_bialternant_is_refused_before_building(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: the bialternant of rank 11 sums 39916800 signed terms; "
                    "the limit is rank 9\n")
+    ten = ("error: the bialternant of rank 10 sums 3628800 signed terms; "
+           "the limit is rank 9\n")
     code, out, err = run_cli(capsys, "verify", "tokuyama", "--lambda", ",".join("0" * 10))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the bialternant of rank 10 sums 3628800 signed terms")
+    assert (code, out, err) == (2, "", ten)
+    # verify all checks the bounds at every partition of its grid first:
+    # ranks 0 to 9 pass, and rank 10 is refused before any state sum
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "10", "--max-part", "0")
+    assert (code, out, err) == (2, "", ten)
     code, out, _ = run_cli(capsys, "schur", "--lambda", eleven, "--method", "pattern")
     assert (code, out) == (0, "1\n")
 
@@ -393,15 +447,15 @@ def test_every_verify_command_prints_its_reports_through_finish(capsys, monkeypa
             return {"group": list(reports)} if name == "suite" else list(reports)
         return run
 
-    for name in ("ybe", "tokuyama", "statement_b", "group_law", "yb_system",
+    for name in ("ybe", "for_partition", "group_law", "yb_system",
                  "triangularity", "transfer_commute", "suite"):
         monkeypatch.setattr(checks, name, entry(name))
     monkeypatch.setattr(cli, "_finish", lambda reps: finished.append(reps) or finish(reps))
     gamma, delta = IceKind.GAMMA, IceKind.DELTA
     for argv, call in (
             (("ybe", "--kinds", "GGD", "--hatted"), ("ybe", ((gamma, gamma, delta), (True,)))),
-            (("tokuyama", "--lambda", "2,1,0"), ("tokuyama", ((2, 1, 0),))),
-            (("statement-b", "--lambda", "1,0"), ("statement_b", ((1, 0),))),
+            (("tokuyama", "--lambda", "2,1,0"), ("for_partition", ("tokuyama", (2, 1, 0)))),
+            (("statement-b", "--lambda", "1,0"), ("for_partition", ("statement-b", (1, 0)))),
             (("group-law", "--samples", "3", "--seed", "5"), ("group_law", (3, 5))),
             (("yb-system", "--x", "gamma", "--y", "delta"),
              ("yb_system", ([(gamma, delta)], (False,)))),
@@ -444,14 +498,18 @@ def test_state_limit_guard_is_a_runtime_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "zfun", "--kind", "gamma", "--lambda", "5,0")
     assert code == 2
     assert err.startswith("error:")
+    # a check's state sum is refused too, not reported as a FAIL
+    code, out, err = run_cli(capsys, "verify", "tokuyama", "--lambda", "1,0")
+    assert (code, out, err) == (2, "", "error: enumeration exceeded ICE_MAX_STATES=1\n")
 
 
 def test_state_limit_that_is_not_an_integer_is_named(capsys, monkeypatch):
     for text in ("abc", "1.5", ""):
         monkeypatch.setenv("ICE_MAX_STATES", text)
-        code, out, err = run_cli(capsys, "states", "--kind", "gamma", "--lambda", "1,0")
-        assert (code, out) == (2, "")
-        assert err == f"error: ICE_MAX_STATES must be an integer, got {text!r}\n"
+        for argv in (("states", "--kind", "gamma"), ("verify", "tokuyama")):
+            code, out, err = run_cli(capsys, *argv, "--lambda", "1,0")
+            assert (code, out) == (2, "")
+            assert err == f"error: ICE_MAX_STATES must be an integer, got {text!r}\n"
     # an integer keeps its meaning: (1, 0) has three states
     for text, code_wanted, lines in (("3", 0, 3), (" 3 ", 0, 3), ("2", 2, 2)):
         monkeypatch.setenv("ICE_MAX_STATES", text)

