@@ -55,12 +55,14 @@ def _require_at_least(value: int, name: str, flag: str, least: int) -> None:
 
 class Partition:
     """The input of a per-partition group: lam, with s_lambda, Z_Gamma and
-    Z_Delta each computed on first use and shared by every group run on it."""
+    Z_Delta each computed on first use and shared by every group run on it.
+    A Z whose state sum raised is remembered as its error, which each later
+    group that needs it raises again, with no second state sum."""
 
     def __init__(self, lam: tuple[int, ...]):
         self.lam = lam
         self.label = _lam_label(lam)
-        self._z_funs: dict[IceKind, Polynomial] = {}
+        self._z_funs: dict[IceKind, Polynomial | ValueError | ZeroDivisionError] = {}
 
     @functools.cached_property
     def schur(self) -> Polynomial:
@@ -68,8 +70,14 @@ class Partition:
 
     def z_fun(self, kind: IceKind) -> Polynomial:
         if kind not in self._z_funs:
-            self._z_funs[kind] = partition_function(BoundarySpec(kind, self.lam))
-        return self._z_funs[kind]
+            try:
+                self._z_funs[kind] = partition_function(BoundarySpec(kind, self.lam))
+            except (ValueError, ZeroDivisionError) as exc:
+                self._z_funs[kind] = exc.with_traceback(None)  # frames not kept
+        z_fun = self._z_funs[kind]
+        if isinstance(z_fun, Exception):
+            raise z_fun
+        return z_fun
 
 
 def factorization(kind: IceKind, partition: Partition) -> list[dict]:

@@ -8,10 +8,11 @@ coefficient of basis vector r in the image of basis vector c.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Sequence
 
-from .poly import Immutable, Polynomial, VarSpace, _check_space, _dot
+from .poly import Immutable, Polynomial, VarSpace, _check_space, _from_products
 
 
 class PolyMatrix(Immutable):
@@ -31,6 +32,16 @@ class PolyMatrix(Immutable):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _raw(cls, space: VarSpace, size: int,
+             rows: tuple[tuple[Polynomial, ...], ...]) -> "PolyMatrix":
+        # internal: rows must already be size tuples of size entries of space
+        self = object.__new__(cls)
+        _set_space(self, space)
+        _set_size(self, size)
+        _set_rows(self, rows)
+        return self
+
+    @classmethod
     def identity(cls, space: VarSpace, size: int) -> "PolyMatrix":
         one, zero = space.one(), space.zero()
         return cls([[one if r == c else zero for c in range(size)]
@@ -45,39 +56,54 @@ class PolyMatrix(Immutable):
         r, c = key
         return self.rows[r][c]
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _check_operand(self, other: "PolyMatrix") -> None:
+        """Both operands of a binary operator: one size and one space."""
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        space = self.space
-        _check_space(space, (other,))
+        _check_space(self.space, (other,))
+
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        self._check_operand(other)
+        space, size = self.space, self.size
         # row by row (Gustavson 1978): each nonzero self[r][k] pairs with the
-        # nonzero entries of row k of other, and every entry of row r is one
-        # accumulation over its pairs, or the one zero when it has none
-        other_rows = [[(c, right) for c, right in enumerate(row) if right]
+        # nonzero entries of row k of other, and their term products go into
+        # one term map per reached column, in k order; an entry that no pair
+        # reaches is the one zero
+        other_rows = [[(c, right._terms.items()) for c, right in enumerate(row) if right]
                       for row in other.rows]
         zero = space.zero()
         out = []
         for row in self.rows:
-            pairs = [[] for _ in range(self.size)]
+            columns: list[dict | None] = [None] * size
             for left, right_row in zip(row, other_rows):
-                if left:
-                    for c, right in right_row:
-                        pairs[c].append((left, right))
-            out.append([_dot(space, entry_pairs) if entry_pairs else zero
-                        for entry_pairs in pairs])
-        return PolyMatrix(out)
+                if not left:
+                    continue
+                left_terms = left._terms.items()
+                for c, right_terms in right_row:
+                    terms = columns[c]
+                    if terms is None:
+                        terms = columns[c] = {}
+                    get = terms.get
+                    for m1, c1 in left_terms:
+                        for m2, c2 in right_terms:
+                            mono = m1 + m2
+                            acc = get(mono)
+                            terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+            out.append(tuple(zero if terms is None else _from_products(space, terms)
+                             for terms in columns))
+        return PolyMatrix._raw(space, size, tuple(out))
+
+    def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
+        self._check_operand(other)
+        return PolyMatrix._raw(self.space, self.size,
+                               tuple(tuple(map(op, r1, r2))
+                                     for r1, r2 in zip(self.rows, other.rows)))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, operator.sub)
 
     def scale(self, factor) -> "PolyMatrix":
         return PolyMatrix([[entry * factor for entry in row] for row in self.rows])
@@ -116,3 +142,9 @@ class PolyMatrix(Immutable):
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"<PolyMatrix {self.size}x{self.size} [{body}]>"
+
+
+# the setters of PolyMatrix's slot descriptors, which _raw calls directly
+_set_space = PolyMatrix.space.__set__
+_set_size = PolyMatrix.size.__set__
+_set_rows = PolyMatrix.rows.__set__

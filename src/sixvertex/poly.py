@@ -69,8 +69,8 @@ class Immutable:
     """Base of the value classes: slots set once in ``__init__``, then frozen.
 
     Subclasses declare ``__slots__`` and set them with ``object.__setattr__``,
-    or, on a hot path such as ``Polynomial._raw``, with the ``__set__`` of the
-    class's slot descriptors.  Pickle and ``copy`` restore the slots through
+    or, on a hot path such as the ``_raw`` constructors, with the ``__set__``
+    of the class's slot descriptors.  Pickle and ``copy`` restore the slots through
     ``__setstate__`` with ``object.__setattr__``.
     Two values of the same class are equal when every slot is equal.
     """
@@ -146,8 +146,8 @@ class GaussianRational(Immutable):
     def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
         # internal: both parts must already be Fractions
         self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
         return self
 
     def is_zero(self) -> bool:
@@ -156,22 +156,32 @@ class GaussianRational(Immutable):
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    # a zero part costs no Fraction arithmetic: x + 0, 0 + x and x - 0 are
+    # x's part itself, 0 - x is -x, and -0 is the zero part
+
     @_scalar_operator
     def __add__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        return GaussianRational._raw(self.re + c, self.im + d)
+        a, b = self.re, self.im
+        return GaussianRational._raw(a + c if a and c else a or c,
+                                     b + d if b and d else b or d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._raw(-self.re, -self.im)
+        a, b = self.re, self.im
+        return GaussianRational._raw(-a if a else _NIL, -b if b else _NIL)
 
     @_scalar_operator
     def __sub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        return GaussianRational._raw(self.re - c, self.im - d)
+        a, b = self.re, self.im
+        return GaussianRational._raw((a - c if a else -c) if c else a,
+                                     (b - d if b else -d) if d else b)
 
     @_scalar_operator
     def __rsub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        return GaussianRational._raw(c - self.re, d - self.im)
+        a, b = self.re, self.im
+        return GaussianRational._raw((c - a if c else -a) if a else c,
+                                     (d - b if d else -b) if b else d)
 
     @_scalar_operator
     def __mul__(self, c: Fraction, d: Fraction) -> "GaussianRational":
@@ -203,11 +213,12 @@ class GaussianRational(Immutable):
         return GaussianRational._raw(c, d) / self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # the exact types first: isinstance of Fraction goes through its ABC
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if type(other) in (int, Fraction) or isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # a real value equals, so must hash like, its Fraction (and int)
@@ -223,6 +234,11 @@ class GaussianRational(Immutable):
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{_imag_str(abs(self.im)).lstrip('+')})"
+
+
+# the setters of GaussianRational's slot descriptors, which _raw calls directly
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
 
 
 def _imag_str(im: Fraction) -> str:
@@ -536,6 +552,8 @@ class Polynomial(Immutable):
         return prod(_binary_powers(self, exponent), self.space)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Polynomial and other.space is self.space:
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = self.space.const(other)
         if not isinstance(other, Polynomial):
@@ -781,14 +799,15 @@ _set_space = Polynomial.space.__set__
 _set_terms = Polynomial._terms.__set__
 
 
-def _dot(space: VarSpace,
-         pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """Sum of ``left * right`` over ``pairs`` of polynomials of ``space``.
+def _dot(space: VarSpace, pairs: Iterable[tuple[Polynomial, Polynomial]],
+         minus: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
+    """Sum of ``left * right`` over ``pairs``, less the same over ``minus``,
+    for polynomials of ``space``.
 
     Every term product goes into one packed term map: a monomial seen for
-    the first time stores its product as it is, and only a repeated one adds.
-    The guard bits are checked over every product monomial, also one whose
-    coefficient then cancels, and zero coefficients are dropped once at the end.
+    the first time stores its product as it is, or negated when it comes
+    from ``minus``, and only a repeated one adds or subtracts.  So a
+    difference of products builds no negated polynomial.
     """
     terms: dict[int, Coefficient] = {}
     get = terms.get
@@ -799,10 +818,45 @@ def _dot(space: VarSpace,
                 mono = m1 + m2
                 acc = get(mono)
                 terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+    for left, right in minus:
+        right_terms = right._terms.items()
+        for m1, c1 in left._terms.items():
+            for m2, c2 in right_terms:
+                mono = m1 + m2
+                acc = get(mono)
+                terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
+    return _from_products(space, terms)
+
+
+def _from_products(space: VarSpace, terms: dict) -> Polynomial:
+    """The polynomial of a term map filled with term products, which the
+    caller gives up: the end step of ``_dot`` and of ``PolyMatrix.__matmul__``.
+
+    The guard bits are checked over every product monomial, also one whose
+    coefficient cancelled, and zero coefficients are dropped once, here.
+    """
     space._check_guard(terms)
     if not all(terms.values()):
         terms = {m: c for m, c in terms.items() if c}
     return Polynomial._raw(space, terms)
+
+
+def _times_imag(p: Polynomial, sign: int = 1) -> Polynomial:
+    """``sign * i * p`` for sign 1 or -1, with no multiply: i (re + im i) is
+    -im + re i, so each coefficient's two parts only move, and one of them
+    changes sign."""
+    raw = GaussianRational._raw
+    terms = {}
+    for mono, c in p._terms.items():
+        if type(c) is GaussianRational:
+            re, im = c.re, c.im
+        else:
+            re, im = c if type(c) is Fraction else Fraction(c), _NIL
+        if sign > 0:
+            terms[mono] = raw(-im if im else _NIL, re)
+        else:
+            terms[mono] = raw(im, -re)
+    return Polynomial._raw(p.space, terms)
 
 
 def _disjoint_product(space: VarSpace, left: Polynomial, right: Polynomial) -> Polynomial:

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 
 from .matrix import PolyMatrix
-from .poly import GaussianRational, IMAG, Immutable, Polynomial, VarSpace, _check_space, _dot
+from .poly import Immutable, Polynomial, VarSpace, _check_space, _dot, _times_imag
 
 
 class IceKind(str, enum.Enum):
@@ -70,9 +70,9 @@ class VertexWeights(Immutable):
             kind = "C"
         else:
             raise ValueError("weights are neither type C nor type D")
-        for name, v in zip(self._FIELDS, values):
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "kind", kind)
+        for set_slot, v in zip(_SET_FIELDS, values):
+            set_slot(self, v)
+        _set_kind(self, kind)
 
     @classmethod
     def type_c(cls, a1, a2, b1, b2, c1, c2) -> "VertexWeights":
@@ -110,6 +110,11 @@ class VertexWeights(Immutable):
         if w.kind != data["type"]:
             raise ValueError(f"declared type {data['type']} but weights are type {w.kind}")
         return w
+
+
+# the setters of VertexWeights' slot descriptors, in _FIELDS order, then kind's
+_SET_FIELDS = tuple(getattr(VertexWeights, f).__set__ for f in VertexWeights._FIELDS)
+_set_kind = VertexWeights.kind.__set__
 
 
 def _ice(kind: IceKind, z: Polynomial, t: Polynomial) -> VertexWeights:
@@ -157,7 +162,7 @@ def ice_weights(space: VarSpace, kind: IceKind, i: int) -> VertexWeights:
 
 def free_fermion(w: VertexWeights) -> Polynomial:
     """The residual a1 a2 + b1 b2 - c1 c2 - d1 d2; zero on the free-fermion locus."""
-    return _dot(w.space, ((w.a1, w.a2), (w.b1, w.b2), (-w.c1, w.c2), (-w.d1, w.d2)))
+    return _dot(w.space, ((w.a1, w.a2), (w.b1, w.b2)), ((w.c1, w.c2), (w.d1, w.d2)))
 
 
 def pi_map(w: VertexWeights) -> PolyMatrix:
@@ -169,11 +174,10 @@ def pi_map(w: VertexWeights) -> PolyMatrix:
             [zero, w.a1, w.b2, zero],
             [zero, -w.b1, w.a2, zero],
             [zero, zero, zero, w.c2]])
-    i = IMAG
     return PolyMatrix([
         [zero, zero, zero, w.d1],
-        [zero, w.a2 * i, -(w.b1 * i), zero],
-        [zero, w.b2 * i, w.a1 * i, zero],
+        [zero, _times_imag(w.a2), _times_imag(w.b1, -1), zero],
+        [zero, _times_imag(w.b2), _times_imag(w.a1), zero],
         [w.d2, zero, zero, zero]])
 
 
@@ -202,8 +206,8 @@ def invariants_match(s: VertexWeights, t: VertexWeights) -> tuple[Polynomial, Po
     (n_t, d1_t), (_, d2_t) = delta_invariants(t)
     space = s.space
     _check_space(space, (t,))
-    return (_dot(space, ((n_s, d1_t), (-n_t, d1_s))),
-            _dot(space, ((n_s, d2_t), (-n_t, d2_s))))
+    return (_dot(space, ((n_s, d1_t),), ((n_t, d1_s),)),
+            _dot(space, ((n_s, d2_t),), ((n_t, d2_s),)))
 
 
 def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
@@ -218,11 +222,12 @@ def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
     for w in (r, t):
         if not free_fermion(w).is_zero():
             raise ValueError("compose requires free-fermionic weights")
-    # a weight with two products is one accumulation of both, signs on the left
+    # a weight with two products is one accumulation of both, a difference
+    # with its subtracted product in _dot's minus
     if r.kind == "C" and t.kind == "C":
         return VertexWeights.type_c(
-            _dot(space, [(r.a1, t.a1), (-r.b2, t.b1)]),
-            _dot(space, [(r.a2, t.a2), (-r.b1, t.b2)]),
+            _dot(space, [(r.a1, t.a1)], [(r.b2, t.b1)]),
+            _dot(space, [(r.a2, t.a2)], [(r.b1, t.b2)]),
             _dot(space, [(r.b1, t.a1), (r.a2, t.b1)]),
             _dot(space, [(r.a1, t.b2), (r.b2, t.a2)]),
             r.c1 * t.c1,
@@ -231,21 +236,21 @@ def compose(r: VertexWeights, t: VertexWeights) -> VertexWeights:
         return VertexWeights.type_d(
             _dot(space, [(r.a2, t.a1), (r.b1, t.b1)]),
             _dot(space, [(r.a1, t.a2), (r.b2, t.b2)]),
-            _dot(space, [(r.a1, t.b1), (-r.b2, t.a1)]),
-            _dot(space, [(r.a2, t.b2), (-r.b1, t.a2)]),
+            _dot(space, [(r.a1, t.b1)], [(r.b2, t.a1)]),
+            _dot(space, [(r.a2, t.b2)], [(r.b1, t.a2)]),
             r.c1 * t.d1,
             r.c2 * t.d2)
     if r.kind == "D" and t.kind == "C":
         return VertexWeights.type_d(
             _dot(space, [(r.a1, t.a2), (r.b2, t.b2)]),
             _dot(space, [(r.a2, t.a1), (r.b1, t.b1)]),
-            _dot(space, [(r.b1, t.a2), (-r.a2, t.b2)]),
-            _dot(space, [(r.b2, t.a1), (-r.a1, t.b1)]),
+            _dot(space, [(r.b1, t.a2)], [(r.a2, t.b2)]),
+            _dot(space, [(r.b2, t.a1)], [(r.a1, t.b1)]),
             r.d1 * t.c2,
             r.d2 * t.c1)
     return VertexWeights.type_c(
-        _dot(space, [(r.b1, t.b2), (-r.a2, t.a2)]),
-        _dot(space, [(r.b2, t.b1), (-r.a1, t.a1)]),
+        _dot(space, [(r.b1, t.b2)], [(r.a2, t.a2)]),
+        _dot(space, [(r.b2, t.b1)], [(r.a1, t.a1)]),
         _dot(space, [(r.b2, t.a2), (r.a1, t.b2)]),
         _dot(space, [(r.b1, t.a1), (r.a2, t.b1)]),
         r.d1 * t.d2,
@@ -294,10 +299,16 @@ def solve_R_from_ST(s: VertexWeights, t: VertexWeights) -> VertexWeights:
 
 
 _NUMERATORS = tuple(k for k in range(-9, 10) if k)  # rng.choice indexes this order
+# the 162 draws k/d, built once: row k holds d = 1..9 in order
+_DRAWS = {k: tuple(Fraction(k, d) for d in range(1, 10)) for k in _NUMERATORS}
 
 
 def _random_nonzero(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9))
+    """k/d with k drawn from _NUMERATORS and d from 1..9; choice over the
+    nine denominators takes the same _randbelow(9) as randint(1, 9), so the
+    draw and the generator's state after it are those of
+    Fraction(rng.choice(_NUMERATORS), rng.randint(1, 9))."""
+    return rng.choice(_DRAWS[rng.choice(_NUMERATORS)])
 
 
 def _constant_weights(kind: str, values: tuple[Fraction, ...]) -> VertexWeights:

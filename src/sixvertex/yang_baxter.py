@@ -12,6 +12,7 @@ Yang-Baxter system built from the R-matrix families.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable
 
@@ -126,16 +127,32 @@ def report(check: str, outcome: PolyMatrix | Polynomial | bool,
     """The ``{"check", "status", "witness"}`` record of one verification.
 
     A residual passes iff it is identically zero; its witness is the JSON of
-    the polynomial, or of the first nonzero entry of a matrix.  A boolean
-    outcome passes iff true, with ``witness`` recorded only on failure.
+    the polynomial, or of the first nonzero entry of a matrix, cut to its
+    ``_WITNESS_TERMS`` leading terms plus a ``"term_count"`` when it has
+    more.  A boolean outcome passes iff true, with ``witness`` recorded
+    only on failure.
     """
     if isinstance(outcome, PolyMatrix):
         bad = outcome.nonzero_entries()
         outcome = bad[0][2] if bad else outcome.space.zero()
     if isinstance(outcome, Polynomial):
-        outcome, witness = outcome.is_zero(), outcome.to_json()
+        outcome, witness = outcome.is_zero(), _residual_witness(outcome)
     return {"check": check, "status": "pass" if outcome else "fail",
             "witness": None if outcome else witness}
+
+
+_WITNESS_TERMS = 8  # the leading terms a residual's witness keeps
+
+
+def _residual_witness(residual: Polynomial) -> dict:
+    """The JSON of ``residual``, or of its ``_WITNESS_TERMS`` leading terms
+    and its ``"term_count"`` when it has more; the leading monomials are
+    picked from the packed ones, with no sort of the whole residual."""
+    terms = residual._terms
+    if len(terms) <= _WITNESS_TERMS:
+        return residual.to_json()
+    lead = {m: terms[m] for m in heapq.nlargest(_WITNESS_TERMS, terms)}
+    return dict(Polynomial._raw(residual.space, lead).to_json(), term_count=len(terms))
 
 
 def check_ice_commutator(x: IceKind, y: IceKind) -> dict:

@@ -183,6 +183,36 @@ CATALOG = (
            "",
            "checks.run: a GuardError is a refusal before any work, which exits "
            "2, not a FAIL of the check it stopped"),
+    Mutant("dot-minus-adds",
+           "src/sixvertex/poly.py",
+           "acc - c1 * c2",
+           "acc + c1 * c2",
+           "_dot's signed accumulation: a product in minus at a stored "
+           "monomial is subtracted from it"),
+    Mutant("dot-minus-first-unsigned",
+           "src/sixvertex/poly.py",
+           "-(c1 * c2) if acc is None",
+           "c1 * c2 if acc is None",
+           "_dot's signed accumulation: a product in minus at a new monomial "
+           "is stored negated"),
+    Mutant("matmul-row-zero-kept",
+           "src/sixvertex/matrix.py",
+           "_from_products(space, terms)",
+           "Polynomial._raw(space, terms)",
+           "the one-pass row product: each entry goes through _dot's end step, "
+           "which drops the coefficients that cancelled"),
+    Mutant("gaussian-eq-ignores-imaginary",
+           "src/sixvertex/poly.py",
+           "return not self.im and self.re == other",
+           "return self.re == other",
+           "GaussianRational's == on an int or a Fraction: a value with an "
+           "imaginary part equals no real number"),
+    Mutant("draw-denominator-shifted",
+           "src/sixvertex/weights.py",
+           "Fraction(k, d) for d in range(1, 10)",
+           "Fraction(k, d) for d in range(2, 11)",
+           "the table of draws: row k holds k/d for d = 1..9, the values of "
+           "randint(1, 9)"),
     Mutant("delta-sign-dropped",
            "src/sixvertex/weights.py",
            "VertexWeights(*(-getattr(inverse, f) for f in VertexWeights._FIELDS))",

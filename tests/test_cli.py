@@ -364,6 +364,26 @@ def test_a_check_that_raises_fails_under_its_group_and_partition(capsys, monkeyp
         f"{len(kept)}/{len(kept) + 1} checks passed"]
 
 
+def test_a_raising_partition_function_runs_once_per_kind_and_partition(capsys, monkeypatch):
+    calls = Counter()
+
+    def raising(boundary):
+        calls[boundary.kind, boundary.lam] += 1
+        raise ValueError("no sum")
+
+    monkeypatch.setattr(checks, "partition_function", raising)
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "1", "--max-part", "1")
+    assert (code, err) == (1, "")
+    # a later group of the partition raises the remembered error again
+    lambdas = checks._partition_grid(1, 1)
+    assert calls == Counter([(kind, lam) for lam in lambdas for kind in checks._KINDS]
+                            + [(IceKind.GAMMA, (0, 0))])
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    per_partition = sum(row.args is None for row in checks.CATALOG)
+    assert len(fails) == per_partition * len(lambdas) + 1  # and the worked example
+    assert all(line.endswith(' witness={"error": "no sum"}') for line in fails)
+
+
 def test_a_command_whose_check_raises_fails_under_its_name(capsys, monkeypatch):
     # an inexact division in statement B fails under the group and partition
     monkeypatch.setattr(checks, "deformed_denominator",

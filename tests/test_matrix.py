@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, VarSpace, poly_sum, prod
+from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, VarSpace, _dot, poly_sum, prod
 
 
 def random_matrix(rng, space, size):
@@ -195,3 +197,46 @@ def test_matmul_keeps_the_exponent_guard():
     # a product monomial that reaches the limit raises even when it cancels
     with pytest.raises(OverflowError):
         PolyMatrix([[half, half], [zero, zero]]) @ PolyMatrix([[half, zero], [-half, zero]])
+
+
+def stored(p):
+    """The terms of p with each stored coefficient's type beside its value."""
+    return {m: (type(c), c) for m, c in p._terms.items()}
+
+
+def per_entry_product(a, b):
+    """a @ b as one _dot per entry over the pairs of nonzero a[r, k] and
+    nonzero b[k, c] in k order, and the one zero where there is no pair."""
+    size, zero = a.size, a.space.zero()
+    rows = []
+    for r in range(size):
+        row = []
+        for c in range(size):
+            pairs = [(a[r, k], b[k, c]) for k in range(size) if a[r, k] and b[k, c]]
+            row.append(_dot(a.space, pairs) if pairs else zero)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    """Two sparse matrices of size 4 or 8 over ranks 0-3, with coefficients
+    of one drawn kind, built by sparse_poly_matrix from a drawn stream."""
+    space = VarSpace(draw(st.integers(0, 3)))
+    size = draw(st.sampled_from((4, 8)))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    rng = draw(st.randoms(use_true_random=False))
+    return tuple(sparse_poly_matrix(rng, space, size, coefficient) for _ in range(2))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_matrix_pairs())
+def test_matmul_matches_the_per_entry_dot(matrices):
+    a, b = matrices
+    product = a @ b
+    want = per_entry_product(a, b)
+    assert product.space is a.space and product.size == a.size
+    for r in range(a.size):
+        for c in range(a.size):
+            assert stored(product[r, c]) == stored(want[r][c])
+            assert product[r, c].space is a.space

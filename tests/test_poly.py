@@ -218,9 +218,9 @@ def counted_multiplies():
     calls = []
     real = poly._dot
 
-    def counting(space, pairs):
+    def counting(space, pairs, minus=()):
         calls.append(space)
-        return real(space, pairs)
+        return real(space, pairs, minus)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poly, "_dot", counting)
@@ -417,16 +417,21 @@ def test_prod_empty_and_space_mismatch():
         space.one() + VarSpace(2).one()
 
 
-@st.composite
-def factor_lists(draw):
-    """Up to five polynomials of one space, with rational and Gaussian coefficients."""
-    space = VarSpace(draw(st.integers(0, 2)))
+def polynomials_of(space):
+    """Polynomials of `space` with up to three terms, with rational and
+    Gaussian coefficients."""
     monos = st.tuples(*[st.integers(0, 2)] * (2 * space.n))
     coeffs = st.one_of(st.integers(-3, 3),
                        st.fractions(min_value=-2, max_value=2, max_denominator=3),
                        st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1)))
-    terms = st.dictionaries(monos, coeffs, max_size=3)
-    return space, [Polynomial(space, draw(terms)) for _ in range(draw(st.integers(0, 5)))]
+    return st.builds(Polynomial, st.just(space), st.dictionaries(monos, coeffs, max_size=3))
+
+
+@st.composite
+def factor_lists(draw):
+    """Up to five polynomials of one space."""
+    space = VarSpace(draw(st.integers(0, 2)))
+    return space, [draw(polynomials_of(space)) for _ in range(draw(st.integers(0, 5)))]
 
 
 def _cancelling_factors():
@@ -473,6 +478,31 @@ def test_prod_matches_the_left_fold_of_products(drawn):
             got = prod(iter(factors), given_space)
         assert got == folded and stored_form(got) == stored_form(folded)
         assert len(calls) == _prod_multiplies(factors)
+
+
+@st.composite
+def signed_pair_lists(draw):
+    """A space, then up to three pairs to add and up to three to subtract."""
+    space = VarSpace(draw(st.integers(0, 2)))
+    pairs = st.lists(st.tuples(polynomials_of(space), polynomials_of(space)), max_size=3)
+    return space, draw(pairs), draw(pairs)
+
+
+def _signed_example():
+    space = VarSpace(1)
+    z, t, i = space.z(1), space.t(1), space.const(IMAG)
+    # z*z is added then subtracted; t*t and i*z*t are subtracted at new monomials
+    return space, [(z, z + t)], [(z, z), (t, t - i * z), (space.const(Fraction(1, 2)), z)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_pair_lists())
+@example(_signed_example())
+def test_dot_minus_equals_the_dot_of_negated_left_factors(drawn):
+    space, pairs, minus = drawn
+    got = poly._dot(space, pairs, minus)
+    want = poly._dot(space, pairs + [(-left, right) for left, right in minus])
+    assert got == want and stored_form(got) == stored_form(want)
 
 
 def test_prod_overflows_at_the_same_factor_as_the_fold():

@@ -341,6 +341,42 @@ def test_gaussian_products_match_the_four_product_formula(shapes, data):
         assert type(quotient.re) is Fraction and type(quotient.im) is Fraction
 
 
+parts_or_zero = st.one_of(st.just(Fraction(0)), rationals)
+gaussians = st.builds(GaussianRational, parts_or_zero, parts_or_zero)
+# an operand of a GaussianRational operator: an int, a Fraction or a
+# GaussianRational, either part possibly zero
+scalar_operands = st.one_of(st.integers(-6, 6), rationals, gaussians)
+
+
+def _textbook_parts(value):
+    """(re, im) of an operand as two Fractions."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+@SETTINGS
+@given(gaussians, scalar_operands)
+@example(GaussianRational(1, 1), 1)
+@example(GaussianRational(2, -1), Fraction(2))
+@example(GaussianRational(0, 3), GaussianRational(0, -3))
+def test_gaussian_operators_match_the_textbook_formulas(left, right):
+    a, b = _textbook_parts(left)
+    c, d = _textbook_parts(right)
+    results = {"+": (left + right, right + left), "-": (left - right,),
+               "reflected -": (right - left,), "*": (left * right, right * left),
+               "neg": (-left,)}
+    expected = {"+": (a + c, b + d), "-": (a - c, b - d), "reflected -": (c - a, d - b),
+                "*": (a * c - b * d, a * d + b * c), "neg": (-a, -b)}
+    for op, values in results.items():
+        for value in values:
+            assert isinstance(value, GaussianRational)
+            assert (value.re, value.im) == expected[op], op
+            assert type(value.re) is Fraction and type(value.im) is Fraction
+    equal = (a, b) == (c, d)
+    assert (left == right, right == left, left != right) == (equal, equal, not equal)
+
+
 @pytest.mark.parametrize("value", [GaussianRational(3, 0), GaussianRational(0, -2),
                                    GaussianRational(1, 1)], ids=SHAPES)
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

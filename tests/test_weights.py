@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from sixvertex import weights
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import IMAG, VarSpace
+from sixvertex.poly import IMAG, GaussianRational, Polynomial, VarSpace
 from sixvertex.weights import (IceKind, VertexWeights, compose, delta,
                                delta_invariants, free_fermion, gamma,
                                ice_weights, inverse_scaled, invariants_match,
@@ -418,12 +419,13 @@ class _BudgetedRandom(random.Random):
 
     drawn = 0
 
-    def randint(self, a, b):
-        # every drawn number makes exactly one randint call
+    def choice(self, seq):
+        # every drawn number makes exactly two choice calls: its numerator,
+        # then its denominator
         self.drawn += 1
-        if self.drawn > DRAW_BUDGET:
+        if self.drawn > 2 * DRAW_BUDGET:
             raise AssertionError(f"{DRAW_BUDGET} numbers drawn and no draw accepted")
-        return super().randint(a, b)
+        return super().choice(seq)
 
 
 DRAW_STREAMS = {
@@ -457,3 +459,116 @@ def test_draw_streams_are_pinned(stream, seed):
     draws = DRAW_STREAMS[stream](_BudgetedRandom(seed))
     text = json.dumps(draws, sort_keys=True)
     assert hashlib.md5(text.encode()).hexdigest() == DRAW_DIGESTS[stream, seed]
+
+
+def stored(p):
+    """The terms of p with each stored coefficient's type, and a Gaussian
+    coefficient's part types, beside its value."""
+    return {m: (type(c), c, (type(c.re), type(c.im)) if type(c) is GaussianRational else ())
+            for m, c in p._terms.items()}
+
+
+def stored_system(w):
+    return w.kind, [stored(getattr(w, f)) for f in VertexWeights._FIELDS]
+
+
+def scalar_imag_pi_map(w):
+    """pi_map of a type-D system with its +-i entries as w.x * IMAG."""
+    zero = w.space.zero()
+    return [[zero, zero, zero, w.d1],
+            [zero, w.a2 * IMAG, -(w.b1 * IMAG), zero],
+            [zero, w.b2 * IMAG, w.a1 * IMAG, zero],
+            [w.d2, zero, zero, zero]]
+
+
+def type_d_systems():
+    """Type-D systems with int, Fraction and Gaussian coefficients, also a
+    Gaussian one whose imaginary part cancelled."""
+    rng = random.Random(3)
+    space = VarSpace(2)
+    z, t, i = space.z(1), space.t(2), space.const(IMAG)
+    systems = [w for w in symbolic_free_fermionic_systems() if w.kind == "D"]
+    systems += [random_free_fermionic("D", rng) for _ in range(20)]
+    systems.append(VertexWeights.type_d(z + 1, t * IMAG, i * i * z - 3, z * Fraction(2, 3),
+                                        2 * t + IMAG, z * z))
+    return systems
+
+
+def test_type_d_pi_map_equals_the_scalar_imag_form():
+    for w in type_d_systems():
+        got, want = pi_map(w), scalar_imag_pi_map(w)
+        for r in range(4):
+            for c in range(4):
+                assert stored(got[r, c]) == stored(want[r][c])
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the Polynomial method ``name``."""
+    calls = []
+    real = getattr(Polynomial, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(Polynomial, name, counted)
+    return calls
+
+
+def test_signed_accumulations_negate_no_polynomial(monkeypatch):
+    rng = random.Random(5)
+    systems = {kind: [random_free_fermionic(kind, rng) for _ in range(3)] for kind in "CD"}
+    pairs = [random_matched_pair(rng), random_mismatched_pair(rng)]
+    negations = _counting(monkeypatch, "__neg__")
+    for r_kind in "CD":
+        for t_kind in "CD":
+            for r, t in zip(systems[r_kind], systems[t_kind]):
+                compose(r, t)
+                free_fermion(r)
+    for s, t in pairs:
+        invariants_match(s, t)
+    assert negations == []
+    -VarSpace(0).one()  # the counter counts
+    assert negations == ["__neg__"]
+
+
+def test_type_d_pi_map_multiplies_no_polynomial(monkeypatch):
+    systems = type_d_systems()
+    multiplies = [_counting(monkeypatch, name) for name in ("__mul__", "__rmul__")]
+    for w in systems:
+        pi_map(w)
+    assert multiplies == [[], []]
+    VarSpace(0).one() * 2
+    assert multiplies == [["__mul__"], []]
+
+
+def _fraction_draw(rng):
+    """The draw as a Fraction of rng.choice(_NUMERATORS) and rng.randint(1, 9)."""
+    return Fraction(rng.choice(weights._NUMERATORS), rng.randint(1, 9))
+
+
+DRAWERS = {
+    "random_free_fermionic-C": lambda rng: stored_system(random_free_fermionic("C", rng)),
+    "random_free_fermionic-D": lambda rng: stored_system(random_free_fermionic("D", rng)),
+    "random_matched_pair": lambda rng: [stored_system(w) for w in random_matched_pair(rng)],
+    "random_mismatched_pair": lambda rng: [stored_system(w)
+                                           for w in random_mismatched_pair(rng)],
+}
+
+
+def test_table_draws_equal_the_fraction_formula(monkeypatch):
+    for seed in range(100):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            drawn, want = weights._random_nonzero(rng), _fraction_draw(oracle)
+            assert (type(drawn), drawn) == (type(want), want)
+        assert rng.getstate() == oracle.getstate()
+    for name, draw in DRAWERS.items():
+        for seed in range(100):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            got = draw(rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(weights, "_random_nonzero", _fraction_draw)
+                want = draw(oracle)
+            assert got == want, (name, seed)
+            assert rng.getstate() == oracle.getstate(), (name, seed)

@@ -7,7 +7,7 @@ import pytest
 
 from sixvertex import yang_baxter
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import VarSpace
+from sixvertex.poly import Polynomial, VarSpace, poly_sum
 from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights, r_weights_params,
                                random_matched_pair, random_mismatched_pair)
 from sixvertex.yang_baxter import (check_ice_commutator,
@@ -122,6 +122,21 @@ def test_report_shapes():
     assert report("demo", True, {"count": 3})["status"] == "pass"
     assert report("demo", False, {"count": 3}) == {
         "check": "demo", "status": "fail", "witness": {"count": 3}}
+
+
+def test_a_long_residual_witness_keeps_its_leading_terms_and_count():
+    space = VarSpace(2)
+    z1, z2, t1 = space.z(1), space.z(2), space.t(1)
+    residual = poly_sum((k - 25) * z1 ** (k % 7) * z2 ** (k // 7) * t1 ** (k % 2)
+                        for k in range(51) if k != 25)
+    assert len(residual.terms()) == 50
+    lead = Polynomial(space, dict(residual.terms()[:8]))
+    witness = report("demo", residual)["witness"]
+    assert witness == dict(lead.to_json(), term_count=50)
+    # a residual of eight terms or fewer is its whole JSON
+    assert report("demo", lead)["witness"] == lead.to_json()
+    assert report("demo", PolyMatrix([[space.zero(), residual], [lead, space.zero()]])) == {
+        "check": "demo", "status": "fail", "witness": witness}
 
 
 def test_ice_commutators_vanish():
