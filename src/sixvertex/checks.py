@@ -20,6 +20,7 @@ from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
                       gt_to_state, partition_function, state_to_gt,
                       state_weight, tokuyama_sum, transfer_matrix,
                       validate_partition)
+from .matrix import _matdot
 from .poly import GuardError, Polynomial, VarSpace, _require_int, prod
 from .schur import _require_bialternant_bounds, deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
@@ -300,7 +301,8 @@ def transfer_commute(max_cols: int) -> list[dict]:
     for cols in range(1, max_cols + 1):
         v1 = transfer_matrix(w1, cols)
         v2 = transfer_matrix(w2, cols)
-        reports.append(report(f"transfer-commute cols={cols}", v1 @ v2 - v2 @ v1))
+        reports.append(report(f"transfer-commute cols={cols}",
+                              _matdot(v1.space, v1.size, ((v1, v2),), ((v2, v1),))))
     return reports
 
 

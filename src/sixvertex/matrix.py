@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .poly import Immutable, Polynomial, VarSpace, _check_space, _from_products
 
@@ -64,34 +64,7 @@ class PolyMatrix(Immutable):
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_operand(other)
-        space, size = self.space, self.size
-        # row by row (Gustavson 1978): each nonzero self[r][k] pairs with the
-        # nonzero entries of row k of other, and their term products go into
-        # one term map per reached column, in k order; an entry that no pair
-        # reaches is the one zero
-        other_rows = [[(c, right._terms.items()) for c, right in enumerate(row) if right]
-                      for row in other.rows]
-        zero = space.zero()
-        out = []
-        for row in self.rows:
-            columns: list[dict | None] = [None] * size
-            for left, right_row in zip(row, other_rows):
-                if not left:
-                    continue
-                left_terms = left._terms.items()
-                for c, right_terms in right_row:
-                    terms = columns[c]
-                    if terms is None:
-                        terms = columns[c] = {}
-                    get = terms.get
-                    for m1, c1 in left_terms:
-                        for m2, c2 in right_terms:
-                            mono = m1 + m2
-                            acc = get(mono)
-                            terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
-            out.append(tuple(zero if terms is None else _from_products(space, terms)
-                             for terms in columns))
-        return PolyMatrix._raw(space, size, tuple(out))
+        return _matdot(self.space, self.size, ((self, other),))
 
     def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
         self._check_operand(other)
@@ -148,3 +121,62 @@ class PolyMatrix(Immutable):
 _set_space = PolyMatrix.space.__set__
 _set_size = PolyMatrix.size.__set__
 _set_rows = PolyMatrix.rows.__set__
+
+
+def _matdot(space: VarSpace, size: int,
+            pairs: Iterable[tuple[PolyMatrix, PolyMatrix]],
+            minus: Iterable[tuple[PolyMatrix, PolyMatrix]] = ()) -> PolyMatrix:
+    """Sum of ``left @ right`` over ``pairs``, less the same over ``minus``,
+    for matrices of one ``size`` over ``space``; the operands are not checked.
+
+    Row by row (Gustavson 1978): each nonzero left[r][k] pairs with the
+    nonzero entries of row k of right, and their term products go into one
+    term map per reached entry of row r, in k order, the products of
+    ``minus`` subtracted as ``poly._dot`` subtracts them.  Each map ends in
+    ``_from_products``, and an entry that no pair reaches is the one zero.
+    """
+    cells: list[list[dict | None]] = [[None] * size for _ in range(size)]
+    for left, right in pairs:
+        right_rows = _sparse_rows(right)
+        for row, columns in zip(left.rows, cells):
+            for entry, right_row in zip(row, right_rows):
+                if not entry:
+                    continue
+                left_terms = entry._terms.items()
+                for c, right_terms in right_row:
+                    terms = columns[c]
+                    if terms is None:
+                        terms = columns[c] = {}
+                    get = terms.get
+                    for m1, c1 in left_terms:
+                        for m2, c2 in right_terms:
+                            mono = m1 + m2
+                            acc = get(mono)
+                            terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+    for left, right in minus:
+        right_rows = _sparse_rows(right)
+        for row, columns in zip(left.rows, cells):
+            for entry, right_row in zip(row, right_rows):
+                if not entry:
+                    continue
+                left_terms = entry._terms.items()
+                for c, right_terms in right_row:
+                    terms = columns[c]
+                    if terms is None:
+                        terms = columns[c] = {}
+                    get = terms.get
+                    for m1, c1 in left_terms:
+                        for m2, c2 in right_terms:
+                            mono = m1 + m2
+                            acc = get(mono)
+                            terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
+    zero = space.zero()
+    return PolyMatrix._raw(space, size, tuple(
+        tuple(zero if terms is None else _from_products(space, terms) for terms in columns)
+        for columns in cells))
+
+
+def _sparse_rows(m: PolyMatrix) -> list[list[tuple[int, Iterable]]]:
+    """Each row of ``m`` as (column, terms) for its nonzero entries."""
+    return [[(c, entry._terms.items()) for c, entry in enumerate(row) if entry]
+            for row in m.rows]

@@ -579,6 +579,10 @@ class Polynomial(Immutable):
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self/divisor; raises if the division leaves a remainder.
 
+        The ValueError's text holds the remainder when the division stopped,
+        or its ``_SHOWN_TERMS`` leading terms and its term count when it has
+        more, so a large inexact division does not write a large text.
+
         Sparse division after Johnson (1974) and Monagan & Pearce (2011):
         each step takes the largest remainder monomial and cancels it with
         one quotient term.  The dividend's monomials are sorted once and read
@@ -619,9 +623,10 @@ class Polynomial(Immutable):
             ratio = (mono | guard) - lead
             if (ratio & guard) != guard:
                 remainder[mono] = coeff
-                raise ValueError(
-                    "inexact division, remainder "
-                    f"{Polynomial._raw(self.space, remainder)}")
+                rest = Polynomial._raw(self.space, remainder)
+                if len(remainder) > _SHOWN_TERMS:
+                    rest = f"{_head(rest)} + ... ({len(remainder)} terms)"
+                raise ValueError(f"inexact division, remainder {rest}")
             ratio -= guard
             q = _quotient(coeff, lead_coeff)
             quotient[ratio] = q
@@ -828,9 +833,20 @@ def _dot(space: VarSpace, pairs: Iterable[tuple[Polynomial, Polynomial]],
     return _from_products(space, terms)
 
 
+_SHOWN_TERMS = 8  # the leading terms that a long residual or remainder shows
+
+
+def _head(p: Polynomial) -> Polynomial:
+    """The ``_SHOWN_TERMS`` leading terms of ``p``, picked from the packed
+    monomials with no sort of the whole polynomial."""
+    terms = p._terms
+    return Polynomial._raw(p.space, {m: terms[m] for m in heapq.nlargest(_SHOWN_TERMS, terms)})
+
+
 def _from_products(space: VarSpace, terms: dict) -> Polynomial:
     """The polynomial of a term map filled with term products, which the
-    caller gives up: the end step of ``_dot`` and of ``PolyMatrix.__matmul__``.
+    caller gives up: the end step of ``_dot``, of ``matrix._matdot`` and of
+    ``yang_baxter.yb_commutator``.
 
     The guard bits are checked over every product monomial, also one whose
     coefficient cancelled, and zero coefficients are dropped once, here.

@@ -12,12 +12,12 @@ Yang-Baxter system built from the R-matrix families.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Callable
+from typing import Callable, Iterable
 
 from .matrix import PolyMatrix
-from .poly import ONE, ZERO, GaussianRational, Polynomial, VarSpace, _check_space
+from .poly import (ONE, ZERO, GaussianRational, Polynomial, VarSpace, _SHOWN_TERMS,
+                   _check_space, _from_products, _head)
 from .weights import (IceKind, VertexWeights, _END2, ice_weights, r_weights,
                       r_weights_params)
 
@@ -41,10 +41,81 @@ def lift(phi: PolyMatrix, slot: str) -> PolyMatrix:
                         for y in _BASIS3] for x in _BASIS3])
 
 
+def _moves(w: PolyMatrix) -> list[list[tuple[int, Iterable]]]:
+    """The nonzero entries of a 4x4 matrix by input pair: item 2x+y lists
+    (2u+v, terms of W[2u+v, 2x+y]), the vertices that send (x, y) to (u, v)."""
+    return [[(out, row[col]._terms.items()) for out, row in enumerate(w.rows) if row[col]]
+            for col in range(4)]
+
+
 def yb_commutator(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix) -> PolyMatrix:
-    """The 8x8 difference R_12 S_13 T_23 - T_23 S_13 R_12."""
-    r12, s13, t23 = lift(r, "12"), lift(s, "13"), lift(t, "23")
-    return r12 @ s13 @ t23 - t23 @ s13 @ r12
+    """The 8x8 difference R_12 S_13 T_23 - T_23 S_13 R_12.
+
+    It is computed as the star-triangle path sum (Baxter, *Exactly Solved
+    Models*, ch. 8-9), with no lift and no 8x8 product.  By the vertex rule
+    W sends the spins (x, y) to (u, v) with weight W[2u+v, 2x+y].  From the
+    basis vector (a, b, c), the left side follows T on (b, c), then S on
+    (a, c'), then R on (a, b'); the right side follows R on (a, b), then S
+    on (a', c), then T on (b', c').  Each path's term products go straight
+    into the term map of the entry it reaches, the right side's subtracted,
+    and each map ends in ``_from_products``; an entry that no path reaches
+    is the one zero.  Both sides form their R.S pair products first, and
+    the guard bits of those are tested too: three exponents below the limit
+    can carry past their field, two cannot.  ``lift`` builds the oracle.
+    """
+    for phi in (r, s, t):
+        if phi.size != 4:
+            raise ValueError("lift expects a 4x4 matrix")
+    space = r.space
+    _check_space(space, (s, t))
+    r_moves, s_moves, t_moves = _moves(r), _moves(s), _moves(t)
+    pairs = []  # every R.S pair product, for the guard test
+    # the left side's S then R, from each (a, b', c') that T may reach: the
+    # entry (a'', b'', c') that a pair reaches and its products
+    left = []
+    for a, b, c in _BASIS3:
+        reached = []
+        for s_out, s_terms in s_moves[2 * a + c]:
+            for r_out, r_terms in r_moves[2 * (s_out >> 1) + b]:
+                products = [(m1 + m2, c1 * c2) for m1, c1 in r_terms for m2, c2 in s_terms]
+                pairs.append(products)
+                reached.append((2 * r_out + (s_out & 1), products))
+        left.append(reached)
+    cells: list[dict | None] = [None] * 64  # entry (row, col) at 8 row + col
+    for col, (a, b, c) in enumerate(_BASIS3):
+        for t_out, t_terms in t_moves[2 * b + c]:
+            for row, products in left[4 * a + t_out]:
+                terms = cells[8 * row + col]
+                if terms is None:
+                    terms = cells[8 * row + col] = {}
+                get = terms.get
+                for m1, c1 in products:
+                    for m2, c2 in t_terms:
+                        mono = m1 + m2
+                        acc = get(mono)
+                        terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        # the right side's R then S, then T on (b', c'), subtracted
+        for r_out, r_terms in r_moves[2 * a + b]:
+            for s_out, s_terms in s_moves[2 * (r_out >> 1) + c]:
+                products = [(m1 + m2, c1 * c2) for m1, c1 in r_terms for m2, c2 in s_terms]
+                pairs.append(products)
+                base = 32 * (s_out >> 1) + col  # row 4a'' + t_out
+                for t_out, t_terms in t_moves[2 * (r_out & 1) + (s_out & 1)]:
+                    terms = cells[base + 8 * t_out]
+                    if terms is None:
+                        terms = cells[base + 8 * t_out] = {}
+                    get = terms.get
+                    for m1, c1 in products:
+                        for m2, c2 in t_terms:
+                            mono = m1 + m2
+                            acc = get(mono)
+                            terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
+    space._check_guard(m for products in pairs for m, _ in products)
+    zero = space.zero()
+    return PolyMatrix._raw(space, 8, tuple(
+        tuple(zero if terms is None else _from_products(space, terms)
+              for terms in cells[row:row + 8])
+        for row in range(0, 64, 8)))
 
 
 def star_triangle_sides(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix,
@@ -128,7 +199,7 @@ def report(check: str, outcome: PolyMatrix | Polynomial | bool,
 
     A residual passes iff it is identically zero; its witness is the JSON of
     the polynomial, or of the first nonzero entry of a matrix, cut to its
-    ``_WITNESS_TERMS`` leading terms plus a ``"term_count"`` when it has
+    ``_SHOWN_TERMS`` leading terms plus a ``"term_count"`` when it has
     more.  A boolean outcome passes iff true, with ``witness`` recorded
     only on failure.
     """
@@ -141,18 +212,13 @@ def report(check: str, outcome: PolyMatrix | Polynomial | bool,
             "witness": None if outcome else witness}
 
 
-_WITNESS_TERMS = 8  # the leading terms a residual's witness keeps
-
-
 def _residual_witness(residual: Polynomial) -> dict:
-    """The JSON of ``residual``, or of its ``_WITNESS_TERMS`` leading terms
-    and its ``"term_count"`` when it has more; the leading monomials are
-    picked from the packed ones, with no sort of the whole residual."""
-    terms = residual._terms
-    if len(terms) <= _WITNESS_TERMS:
+    """The JSON of ``residual``, or of its ``_SHOWN_TERMS`` leading terms and
+    its ``"term_count"`` when it has more."""
+    count = len(residual._terms)
+    if count <= _SHOWN_TERMS:
         return residual.to_json()
-    lead = {m: terms[m] for m in heapq.nlargest(_WITNESS_TERMS, terms)}
-    return dict(Polynomial._raw(residual.space, lead).to_json(), term_count=len(terms))
+    return dict(_head(residual).to_json(), term_count=count)
 
 
 def check_ice_commutator(x: IceKind, y: IceKind) -> dict:

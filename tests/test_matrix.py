@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sixvertex.matrix import PolyMatrix
+from sixvertex.matrix import PolyMatrix, _matdot
 from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, VarSpace, _dot, poly_sum, prod
 
 
@@ -240,3 +240,65 @@ def test_matmul_matches_the_per_entry_dot(matrices):
         for c in range(a.size):
             assert stored(product[r, c]) == stored(want[r][c])
             assert product[r, c].space is a.space
+
+
+def textbook_matdot(space, size, pairs, minus):
+    """The sum of a @ b over pairs less the sum of c @ d over minus."""
+    total = PolyMatrix.zeros(space, size)
+    for a, b in pairs:
+        total = total + a @ b
+    for c, d in minus:
+        total = total - c @ d
+    return total
+
+
+@st.composite
+def matdot_operands(draw):
+    """0-2 pairs and 0-2 minus pairs of sparse matrices of one size and rank."""
+    space = VarSpace(draw(st.integers(0, 2)))
+    size = draw(st.sampled_from((1, 2, 4, 8)))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operands():
+        return [tuple(sparse_poly_matrix(rng, space, size, coefficient) for _ in range(2))
+                for _ in range(draw(st.integers(0, 2)))]
+    return space, size, operands(), operands()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matdot_operands())
+def test_matdot_matches_the_sum_of_products(operands):
+    space, size, pairs, minus = operands
+    got = _matdot(space, size, pairs, minus)
+    want = textbook_matdot(space, size, pairs, minus)
+    assert got.space is space and got.size == size
+    for r in range(size):
+        for c in range(size):
+            assert got[r, c] == want[r, c]
+            assert got[r, c].space is space
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_matdot_subtracts_its_minus_pairs(kind):
+    rng = random.Random(f"matdot-{kind}")
+    coefficient = COEFFICIENTS[kind]
+    space = VarSpace(2)
+    for size in (2, 4, 8):
+        for _ in range(3):
+            a, b, c, d = (sparse_poly_matrix(rng, space, size, coefficient)
+                          for _ in range(4))
+            assert _matdot(space, size, ((a, b),), ((c, d),)) == a @ b - c @ d
+            # a commutator, and a difference that cancels to the one zero
+            assert _matdot(space, size, ((a, b),), ((b, a),)) == a @ b - b @ a
+            assert _matdot(space, size, ((a, b), (c, d)), ((c, d),)) == a @ b
+            assert _matdot(space, size, ((a, b),), ((a, b),)).is_zero()
+    assert _matdot(space, 2, (), ()) == PolyMatrix.zeros(space, 2)
+
+
+def test_matdot_keeps_the_exponent_guard_on_minus():
+    space = VarSpace(1)
+    half, one = space.z(1, EXPONENT_LIMIT // 2), space.one()
+    over, unit = PolyMatrix([[half]]), PolyMatrix([[one]])
+    with pytest.raises(OverflowError):
+        _matdot(space, 1, ((unit, unit),), ((over, over),))

@@ -757,6 +757,18 @@ def test_inexact_division_names_the_whole_remainder():
     assert str(info.value) == "inexact division, remainder z2^2 + 1"
 
 
+def test_a_long_inexact_division_remainder_shows_its_leading_terms_and_count():
+    space = VarSpace(2)
+    z1, z2 = space.z(1), space.z(2)
+    # z1 divides no power of z2, so the whole dividend is the remainder
+    eight = "z2^11 + z2^10 + z2^9 + z2^8 + z2^7 + z2^6 + z2^5 + z2^4"
+    for count in (8, 9, 12):
+        with pytest.raises(ValueError) as info:
+            poly_sum(z2 ** k for k in range(12 - count, 12)).exact_div(z1)
+        tail = "" if count == 8 else f" + ... ({count} terms)"
+        assert str(info.value) == f"inexact division, remainder {eight}{tail}"
+
+
 def test_canonical_order_and_text_rendering():
     space = VarSpace(2)
     p = (space.z(1) + space.t(1) * space.z(2)) ** 2

@@ -103,7 +103,8 @@ def test_inexact_division_raises(data):
 def _classical_div(dividend, divisor):
     """dividend / divisor by schoolbook division on exponent tuples: each step
     cancels the largest remainder monomial under ``_canonical_key``.  Raises
-    ValueError with the remainder when that monomial is not divisible."""
+    ValueError with the remainder when that monomial is not divisible: the
+    whole remainder up to 8 terms, else its 8 leading terms and its count."""
     space = dividend.space
     (lead, lead_coeff), *rest = divisor.terms()
     remainder, quotient = dict(dividend.terms()), {}
@@ -111,7 +112,12 @@ def _classical_div(dividend, divisor):
         mono = max(remainder, key=_canonical_key)
         ratio = tuple(e - d for e, d in zip(mono, lead))
         if any(e < 0 for e in ratio):
-            raise ValueError(f"inexact division, remainder {Polynomial(space, remainder)}")
+            text = str(Polynomial(space, remainder))
+            if len(remainder) > 8:
+                head = sorted(remainder, key=_canonical_key, reverse=True)[:8]
+                text = (f"{Polynomial(space, {m: remainder[m] for m in head})}"
+                        f" + ... ({len(remainder)} terms)")
+            raise ValueError(f"inexact division, remainder {text}")
         q = quotient[ratio] = remainder.pop(mono) / lead_coeff
         for dm, dc in rest:
             key = tuple(e + d for e, d in zip(ratio, dm))

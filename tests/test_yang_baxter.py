@@ -2,14 +2,18 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sixvertex import yang_baxter
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import Polynomial, VarSpace, poly_sum
+from sixvertex.poly import EXPONENT_LIMIT, GaussianRational, Polynomial, VarSpace, poly_sum
 from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights, r_weights_params,
-                               random_matched_pair, random_mismatched_pair)
+                               random_free_fermionic, random_matched_pair,
+                               random_mismatched_pair)
 from sixvertex.yang_baxter import (check_ice_commutator,
                                    check_parametrized_ybe,
                                    check_triangularity, check_yb_system,
@@ -283,3 +287,139 @@ def test_yb_system_reports_a_broken_mixed_family_under_every_name(monkeypatch):
                 witnesses = [reports[name]["witness"] for name in names]
                 assert witnesses[0] is not None
                 assert witnesses == [witnesses[0]] * 3
+
+
+# -- the path sum against the lifted products --------------------------------
+
+def lifted_commutator(r, s, t):
+    """[[R, S, T]] from the definition: three lifts and four 8x8 products."""
+    lift = yang_baxter.lift  # looked up at each call, so a test can count the lifts
+    r12, s13, t23 = lift(r, "12"), lift(s, "13"), lift(t, "23")
+    return r12 @ s13 @ t23 - t23 @ s13 @ r12
+
+
+def assert_entrywise_equal(got, want):
+    assert got.space is want.space and got.size == want.size == 8
+    for row in range(8):
+        for col in range(8):
+            assert got[row, col] == want[row, col]
+            assert got[row, col].space is want.space
+
+
+def test_commutator_matches_the_lifted_products_on_the_ice_families():
+    # every kind/hat triple of the ybe check, which vanishes, and its
+    # arguments rotated, which do not
+    space = VarSpace(3)
+    p1, p2, p3 = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
+    nonzero = 0
+    for kinds in itertools.product(IceKind, repeat=3):
+        x, y, z = kinds
+        for hat in (False, True):
+            f12, f13, f23 = yang_baxter._families(((x, y), (x, z), (y, z)), hat)
+            r, s, t = f12(*p1, *p2), f13(*p1, *p3), f23(*p2, *p3)
+            for triple in ((r, s, t), (s, t, r), (t, r, s)):
+                got = yb_commutator(*triple)
+                assert_entrywise_equal(got, lifted_commutator(*triple))
+                nonzero += not got.is_zero()
+    assert nonzero >= 16
+
+
+COEFFICIENTS = {
+    "int": st.integers(-3, 3),
+    "fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    "gaussian": st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+}
+
+
+@st.composite
+def matrix_triples(draw):
+    """Three 4x4 matrices over one rank 0-3, every entry (the corners d1 and
+    d2 of a type-D system too) zero with one drawn probability, else 1-3
+    terms of low degree with coefficients of one drawn kind."""
+    space = VarSpace(draw(st.integers(0, 3)))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    sparsity = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
+
+    def entry():
+        if draw(st.floats(0, 1)) < sparsity:
+            return space.zero()
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            mono = tuple(draw(st.integers(0, 2)) for _ in range(2 * space.n))
+            terms[mono] = draw(coefficient)
+        return Polynomial(space, terms)
+    return tuple(PolyMatrix([[entry() for _ in range(4)] for _ in range(4)])
+                 for _ in range(3))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_triples())
+def test_commutator_matches_the_lifted_products(triple):
+    assert_entrywise_equal(yb_commutator(*triple), lifted_commutator(*triple))
+
+
+def test_commutator_matches_the_lifted_products_on_free_fermionic_draws():
+    # constant type C and type D systems: a type-D system has d entries
+    rng = random.Random(5)
+    for k in range(30):
+        triple = [random_free_fermionic("CD"[(k + j) % 2], rng).end2() for j in range(3)]
+        assert_entrywise_equal(yb_commutator(*triple), lifted_commutator(*triple))
+
+
+def test_commutator_keeps_the_exponent_guard():
+    space = VarSpace(1)
+    limit = EXPONENT_LIMIT
+
+    def full(p):
+        return PolyMatrix([[p] * 4 for _ in range(4)])
+    # R.S at limit - 2 and one more from T: both forms compute it
+    below = (full(space.z(1, limit // 2 - 1)), full(space.z(1, limit // 2 - 1)),
+             full(space.z(1)))
+    assert_entrywise_equal(yb_commutator(*below), lifted_commutator(*below))
+    # R.S at the limit: both forms raise
+    at = (full(space.z(1, limit // 2)), full(space.z(1, limit // 2)), full(space.one()))
+    # three exponents of limit - 1: their sum carries out of the t field, so
+    # only the guard test of the R.S pair sees it
+    carry = tuple(full(space.t(1, limit - 1)) for _ in range(3))
+    for triple in (at, carry):
+        for form in (yb_commutator, lifted_commutator):
+            with pytest.raises(OverflowError, match="exponent overflow"):
+                form(*triple)
+
+
+def test_commutator_refuses_what_the_lifts_refuse():
+    space = VarSpace(1)
+    four, two = PolyMatrix.identity(space, 4), PolyMatrix.identity(space, 2)
+    for triple in ((two, four, four), (four, two, four), (four, four, two)):
+        with pytest.raises(ValueError, match="lift expects a 4x4 matrix"):
+            yb_commutator(*triple)
+    other = PolyMatrix.identity(VarSpace(2), 4)
+    for triple in ((four, other, four), (four, four, other)):
+        for form in (yb_commutator, lifted_commutator):
+            with pytest.raises(ValueError, match=r"variable space mismatch: "
+                                                 r"VarSpace\(1\) vs VarSpace\(2\)"):
+                form(*triple)
+
+
+def test_commutator_lifts_multiplies_and_subtracts_nothing(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(yang_baxter, "lift", counting("lift", yang_baxter.lift))
+    monkeypatch.setattr(PolyMatrix, "__matmul__",
+                        counting("@", PolyMatrix.__matmul__))
+    monkeypatch.setattr(Polynomial, "__sub__", counting("-", Polynomial.__sub__))
+    space = VarSpace(2)
+    triple = (ice_weights(space, IceKind.GAMMA, 1).end2(),
+              r_weights(space, IceKind.GAMMA, IceKind.DELTA, 1, 2).end2(),
+              ice_weights(space, IceKind.DELTA, 2).end2())
+    assert not yb_commutator(*triple).is_zero()
+    assert calls == []
+    # the counters see the oracle's lifts, products and subtractions
+    lifted_commutator(*triple)
+    assert set(calls) == {"lift", "@", "-"}
