@@ -21,11 +21,12 @@ from __future__ import annotations
 import operator
 import os
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import GuardError, Immutable, Polynomial, VarSpace, _dot, _require_int, poly_sum, prod
+from .poly import (GuardError, Immutable, Polynomial, VarSpace, _check_space, _dot,
+                   _require_int, poly_sum, prod)
 from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
 
 _DEFAULT_MAX_STATES = 10_000_000
@@ -226,21 +227,19 @@ class LatticeState(Immutable):
 def interleavers(row: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
     """Every row of len(row) - 1 entries interleaving `row`, descending lex order.
 
-    Entry p lies between row[p] and row[p + 1]; with `strict` the entries
-    also strictly decrease, otherwise they weakly decrease.  A one-entry
-    row has the empty row as its only interleaver, the empty row has none.
+    Entry p runs from row[p] down to row[p + 1], and the rows are one
+    itertools.product of these ranges, which is in descending lex order and
+    weakly decreasing.  Two neighbours can be equal only at their shared end
+    row[p + 1]; with `strict` the rows with equal neighbours are dropped, so
+    the entries strictly decrease.  A one-entry row has the empty row as its
+    only interleaver, the empty row has none.
     """
     if not row:
-        return
-
-    def below(p: int, ceiling: int, acc: tuple[int, ...]):
-        if p == len(row) - 1:
-            yield acc
-            return
-        for v in range(min(row[p], ceiling), row[p + 1] - 1, -1):
-            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
-
-    yield from below(0, row[0], ())
+        return iter(())
+    rows = product(*[range(high, low - 1, -1) for high, low in zip(row, row[1:])])
+    if not strict or len(row) < 3:  # rows of at most one entry have no neighbours
+        return rows
+    return (below for below in rows if all(map(operator.ne, below, below[1:])))
 
 
 def gt_patterns(top: tuple[int, ...], strict: bool,
@@ -285,19 +284,28 @@ def row_sum(top: tuple[int, ...], strict: bool,
     row_0 is `top`, each row_j+1 interleaves row_j (strictly or weakly, as
     in gt_patterns), and the row below the last one is the empty row.  The
     sum over the patterns below a row depends only on that row, so it is
-    computed once per distinct row, in a memo local to this call.
+    computed once per distinct row, in a memo local to this call, as one
+    `_dot` over the pairs (factor(j, row, next), sum below next): each term
+    product of the row goes straight into one term map, with one guard check
+    and one zero filter per row and no product built as a polynomial of its
+    own.  As for `*`, a factor of another VarSpace raises ValueError and a
+    product with an exponent at EXPONENT_LIMIT raises OverflowError.
     """
     top = tuple(top)
     space = VarSpace(len(top))
     below_sums = {(): space.one()}
 
     def below_sum(row: tuple[int, ...]) -> Polynomial:
-        if row not in below_sums:
+        done = below_sums.get(row)
+        if done is None:
             j = len(top) - len(row)
-            below_sums[row] = poly_sum(
-                (factor(j, row, nxt) * below_sum(nxt)
-                 for nxt in interleavers(row, strict)), space)
-        return below_sums[row]
+            pairs = [(factor(j, row, nxt), below_sum(nxt))
+                     for nxt in interleavers(row, strict)]
+            for f, below in pairs:
+                if f.space is not space:
+                    _check_space(f.space, (below,))
+            done = below_sums[row] = _dot(space, pairs)
+        return done
 
     return below_sum(top)
 
@@ -498,18 +506,26 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
     neighbor, 1 for one equal to its upper-right neighbor, and t + 1
     otherwise.  Entries in pattern row k (1-based) draw t from the ice row
     above them, index k - 1; with per_row_t False every factor uses t_1.
+
+    A row_sum.  The factor of a pair of rows depends only on its shape (j,
+    the row-sum difference d, and the counts of entries that take t and
+    t + 1), so it is built once per shape, as one prod of z_{j+1}^d, t^ties
+    and (t + 1)^free, in a memo local to this call.
     """
     lam = validate_partition(lam)
     space = VarSpace(len(lam))
+    factors: dict[tuple[int, int, int, int], Polynomial] = {}
 
     def factor(j: int, above: tuple[int, ...], row: tuple[int, ...]) -> Polynomial:
-        out = space.z(j + 1, sum(above) - sum(row))
-        t_var = space.t(j + 1 if per_row_t else 1)
-        for p, entry in enumerate(row):
-            if entry == above[p]:
-                out = out * t_var
-            elif entry != above[p + 1]:
-                out = out * (t_var + space.one())
+        # rows are strict, so an entry equals at most one upper neighbor
+        ties = sum(map(operator.eq, row, above))
+        free = len(row) - ties - sum(map(operator.eq, row, above[1:]))
+        shape = (j, sum(above) - sum(row), ties, free)
+        out = factors.get(shape)
+        if out is None:
+            t_index = j + 1 if per_row_t else 1
+            out = factors[shape] = prod((space.z(j + 1, shape[1]), space.t(t_index, ties),
+                                         *[space.t(t_index) + 1] * free), space)
         return out
 
     return row_sum(_plus_rho(lam), True, factor)

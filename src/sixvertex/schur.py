@@ -99,12 +99,21 @@ def _alternant(space: VarSpace, exponents: tuple[int, ...]) -> Polynomial:
 def schur_pattern_sum(lam: Sequence[int]) -> Polynomial:
     """Sum of z^(row-sum differences) over weak patterns with top row lambda.
 
-    A row_sum: each pair of adjacent rows contributes z_{j+1}^(|row_j| - |row_{j+1}|).
+    A row_sum: each pair of adjacent rows contributes z_{j+1}^(|row_j| - |row_{j+1}|),
+    built once per (j, difference) in a memo local to this call.
     """
     lam = validate_partition(lam)
     space = VarSpace(len(lam))
-    return row_sum(lam, False, lambda j, above, row:
-                   space.z(j + 1, sum(above) - sum(row)))
+    powers: dict[tuple[int, int], Polynomial] = {}
+
+    def factor(j: int, above: tuple[int, ...], row: tuple[int, ...]) -> Polynomial:
+        key = (j, sum(above) - sum(row))
+        out = powers.get(key)
+        if out is None:
+            out = powers[key] = space.z(j + 1, key[1])
+        return out
+
+    return row_sum(lam, False, factor)
 
 
 def deformed_denominator(kind: IceKind, n: int) -> Polynomial:

@@ -147,11 +147,27 @@ CATALOG = (
            "as_the_fold[wide-factor-after-folded-ones]"),
     Mutant("weak-walked-strict",
            "src/sixvertex/lattice.py",
-           "yield from below(p + 1, v - 1 if strict else v, acc + (v,))",
-           "yield from below(p + 1, v - 1, acc + (v,))",
+           "if not strict or len(row) < 3:",
+           "if len(row) < 3:",
            "the GT walker: weak interleaving lets equal neighbours, which the "
-           "Schur pattern sums need",
+           "Schur pattern sums need, so only a strict walk drops them",
            "tests/test_lattice.py::test_interleavers"),
+    Mutant("row-sum-products-stored",
+           "src/sixvertex/lattice.py",
+           "done = below_sums[row] = _dot(space, pairs)",
+           "done = below_sums[row] = Polynomial._raw(space, {"
+           "m1 + m2: c1 * c2 for f, below in pairs "
+           "for m1, c1 in f._terms.items() for m2, c2 in below._terms.items()})",
+           "row_sum's one term map per GT row: term products of different next "
+           "rows meet at one monomial and must add, not overwrite",
+           "tests/test_lattice.py::test_tokuyama_sum_matches_the_recursion_of_products[True]"),
+    Mutant("tokuyama-shape-without-row",
+           "src/sixvertex/lattice.py",
+           "shape = (j, sum(above) - sum(row), ties, free)",
+           "shape = (0, sum(above) - sum(row), ties, free)",
+           "tokuyama_sum's factor memo: a factor carries z_{j+1} (and t_{j+1} "
+           "per row), so its shape must hold the row index j",
+           "tests/test_lattice.py::test_tokuyama_sum_matches_the_recursion_of_products[False]"),
     Mutant("swap-conjugate-rows-only",
            "src/sixvertex/yang_baxter.py",
            "return PolyMatrix([[m[r, c] for c in order] for r in order])",

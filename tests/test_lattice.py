@@ -19,7 +19,8 @@ from sixvertex.lattice import (BoundarySpec, GTPattern, LatticeState,
                                state_to_gt, state_weight, tokuyama_sum,
                                transfer_matrix, validate_partition)
 from sixvertex.matrix import PolyMatrix
-from sixvertex.poly import IMAG, GaussianRational, Polynomial, VarSpace, poly_sum, prod
+from sixvertex.poly import (EXPONENT_LIMIT, IMAG, GaussianRational, Polynomial, VarSpace,
+                            poly_sum, prod)
 from sixvertex.schur import schur_bialternant
 from sixvertex.weights import (IceKind, _vertex_entry, delta, gamma, ice_weights,
                                r_weights_params)
@@ -181,21 +182,30 @@ def test_gt_to_state_of_each_walked_pattern_is_the_enumerated_state(kind):
             == list(enumerate_states(b))
 
 
+def reference_interleavers(row, strict):
+    """The recursive interleaving loop, one generator per entry: entry p
+    runs down from the smaller of row[p] and the ceiling that the entry
+    before it leaves (itself, or one less with `strict`) to row[p + 1]."""
+    if not row:
+        return
+
+    def below(p, ceiling, acc):
+        if p == len(row) - 1:
+            yield acc
+            return
+        for v in range(min(row[p], ceiling), row[p + 1] - 1, -1):
+            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
+
+    yield from below(0, row[0], ())
+
+
 def reference_gt_patterns(top, strict):
     """The recursive GT walk, one generator per level, with its own
     interleaving loop: the order oracle of the explicit-stack walker."""
     if not top:
         yield ()
         return
-
-    def below(p, ceiling, acc):
-        if p == len(top) - 1:
-            yield acc
-            return
-        for v in range(min(top[p], ceiling), top[p + 1] - 1, -1):
-            yield from below(p + 1, v - 1 if strict else v, acc + (v,))
-
-    for nxt in below(0, top[0], ()):
+    for nxt in reference_interleavers(top, strict):
         for rest in reference_gt_patterns(nxt, strict):
             yield (top,) + rest
 
@@ -207,6 +217,15 @@ def test_interleavers():
     assert list(interleavers((1, 1, 0), False)) == [(1, 1), (1, 0)]
     assert list(interleavers((4,), True)) == [()]
     assert list(interleavers((), True)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=6), st.booleans())
+def test_interleavers_match_the_recursive_loop(parts, strict):
+    # any weakly decreasing row, equal neighbours included, not only the
+    # top rows lambda + rho and lambda that the walks start from
+    row = tuple(sorted(parts, reverse=True))
+    assert list(interleavers(row, strict)) == list(reference_interleavers(row, strict))
 
 
 def test_gt_patterns_keep_the_descending_lex_order():
@@ -295,6 +314,100 @@ def test_row_sum_matches_the_product_over_each_pattern(strict):
                    for j in range(len(rows))), space)
              for rows in gt_patterns(top, strict)), space)
         assert row_sum(top, strict, factor) == expected
+
+
+def reference_row_sum(top, strict, factor):
+    """row_sum as the recursion of products and sums: each factor times the
+    sum below its next row is built as a polynomial by `*`, and a row's
+    products are merged by poly_sum.  The oracle of row_sum's one `_dot`
+    per row."""
+    top = tuple(top)
+    space = VarSpace(len(top))
+    below_sums = {(): space.one()}
+
+    def below_sum(row):
+        if row not in below_sums:
+            j = len(top) - len(row)
+            below_sums[row] = poly_sum(
+                (factor(j, row, nxt) * below_sum(nxt)
+                 for nxt in interleavers(row, strict)), space)
+        return below_sums[row]
+
+    return below_sum(top)
+
+
+def tokuyama_factor(space, per_row_t):
+    """The Tokuyama factor of a pair of rows as a loop of multiplies, one per
+    entry: t for an entry equal to its upper-left neighbor, t + 1 for one
+    equal to neither upper neighbor."""
+    def factor(j, above, row):
+        out = space.z(j + 1, sum(above) - sum(row))
+        t_var = space.t(j + 1 if per_row_t else 1)
+        for p, entry in enumerate(row):
+            if entry == above[p]:
+                out = out * t_var
+            elif entry != above[p + 1]:
+                out = out * (t_var + space.one())
+        return out
+
+    return factor
+
+
+def schur_factor(space):
+    return lambda j, above, row: space.z(j + 1, sum(above) - sum(row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+    st.booleans(), st.sampled_from(["per-row t", "single t", "schur"]))
+def test_row_sum_matches_the_recursion_of_products(parts, strict, which):
+    lam = tuple(sorted(parts, reverse=True))
+    top = BoundarySpec(IceKind.GAMMA, lam).top_row() if strict else lam
+    space = VarSpace(len(top))
+    factor = (schur_factor(space) if which == "schur"
+              else tokuyama_factor(space, which == "per-row t"))
+    assert row_sum(top, strict, factor) == reference_row_sum(top, strict, factor)
+
+
+@pytest.mark.parametrize("per_row_t", [True, False])
+def test_tokuyama_sum_matches_the_recursion_of_products(per_row_t):
+    # the factors built once per shape against a loop of multiplies per row pair
+    for lam in TOKUYAMA_GRID:
+        top = BoundarySpec(IceKind.GAMMA, lam).top_row()
+        factor = tokuyama_factor(VarSpace(len(lam)), per_row_t)
+        assert tokuyama_sum(lam, per_row_t) == reference_row_sum(top, True, factor)
+
+
+def test_row_sum_refuses_a_factor_of_another_space_as_the_product_does():
+    other = VarSpace(4)  # the row sums are over VarSpace(3)
+    for strict, top in ((True, (2, 1, 0)), (False, (1, 1, 0))):
+        with pytest.raises(ValueError) as fused:
+            row_sum(top, strict, lambda j, above, row: other.z(1))
+        with pytest.raises(ValueError) as products:
+            reference_row_sum(top, strict, lambda j, above, row: other.z(1))
+        assert str(fused.value).startswith("variable space mismatch: ")
+        assert str(fused.value) == str(products.value)
+
+
+def test_row_sum_raises_when_a_product_reaches_the_exponent_limit():
+    # each factor alone is below the limit; a top factor times the sum below
+    # it reaches it
+    space = VarSpace(2)
+    almost = EXPONENT_LIMIT - 1
+
+    def factor(j, above, row):
+        return space.z(1, almost if j else 1) + space.one()
+
+    for strict, top in ((True, (1, 0)), (False, (1, 1))):
+        with pytest.raises(OverflowError) as fused:
+            row_sum(top, strict, factor)
+        with pytest.raises(OverflowError) as products:
+            reference_row_sum(top, strict, factor)
+        assert str(fused.value) == str(products.value)
+    # one step below the limit, the same sum goes through
+    assert row_sum((1, 0), True, lambda j, above, row:
+                   space.z(1, almost - 1 if j else 1)) == 2 * space.z(1, almost)
 
 
 def test_enumeration_state_limit(monkeypatch):
