@@ -198,16 +198,6 @@ class LatticeState(Immutable):
         return (self.horizontal[r][c], self.vertical[r][c],
                 self.horizontal[r][c + 1], self.vertical[r + 1][c])
 
-    def first_inadmissible(self) -> tuple[int, int] | None:
-        """Coordinates of the first vertex violating admissibility, if any."""
-        b = self.boundary
-        for r in range(b.n):
-            mat = _row_matrix(b.kind, b.n, r)
-            for c in range(b.m):
-                if not mat[_vertex_entry(*self.vertex_pattern(r, c))]:
-                    return r, c
-        return None
-
     def to_json(self) -> dict:
         return {"lambda": list(self.boundary.lam),
                 "kind": self.boundary.kind.value,
@@ -284,12 +274,13 @@ def row_sum(top: tuple[int, ...], strict: bool,
     row_0 is `top`, each row_j+1 interleaves row_j (strictly or weakly, as
     in gt_patterns), and the row below the last one is the empty row.  The
     sum over the patterns below a row depends only on that row, so it is
-    computed once per distinct row, in a memo local to this call, as one
-    `_dot` over the pairs (factor(j, row, next), sum below next): each term
-    product of the row goes straight into one term map, with one guard check
-    and one zero filter per row and no product built as a polynomial of its
-    own.  As for `*`, a factor of another VarSpace raises ValueError and a
-    product with an exponent at EXPONENT_LIMIT raises OverflowError.
+    computed once per distinct row, in a memo freed when this call returns,
+    as one `_dot` over the pairs (factor(j, row, next), sum below next):
+    each term product of the row goes straight into one term map, with one
+    guard check and one zero filter per row and no product built as a
+    polynomial of its own.  As for `*`, a factor of another VarSpace raises
+    ValueError and a product with an exponent at EXPONENT_LIMIT raises
+    OverflowError.
     """
     top = tuple(top)
     space = VarSpace(len(top))
@@ -307,7 +298,10 @@ def row_sum(top: tuple[int, ...], strict: bool,
             done = below_sums[row] = _dot(space, pairs)
         return done
 
-    return below_sum(top)
+    try:
+        return below_sum(top)
+    finally:
+        del below_sum  # its closure refers to it: free the memo now, not at a collection
 
 
 def enumerate_states(b: BoundarySpec) -> Iterator[LatticeState]:

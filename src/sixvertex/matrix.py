@@ -12,7 +12,7 @@ import operator
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .poly import Immutable, Polynomial, VarSpace, _check_space, _from_products
+from .poly import Immutable, Polynomial, VarSpace, _check_space, _dot
 
 
 class PolyMatrix(Immutable):
@@ -129,54 +129,30 @@ def _matdot(space: VarSpace, size: int,
     """Sum of ``left @ right`` over ``pairs``, less the same over ``minus``,
     for matrices of one ``size`` over ``space``; the operands are not checked.
 
-    Row by row (Gustavson 1978): each nonzero left[r][k] pairs with the
-    nonzero entries of row k of right, and their term products go into one
-    term map per reached entry of row r, in k order, the products of
-    ``minus`` subtracted as ``poly._dot`` subtracts them.  Each map ends in
-    ``_from_products``, and an entry that no pair reaches is the one zero.
+    Row by row (Gustavson 1978), each nonzero left[r][k] meets the nonzero
+    entries of row k of right, and each (left[r][k], right[k][c]) is filed
+    under entry (r, c), with ``pairs`` or with ``minus``, in k order.  Each
+    entry is then one ``poly._dot`` of its two lists, and an entry that no
+    pair reaches is the one zero.
     """
-    cells: list[list[dict | None]] = [[None] * size for _ in range(size)]
-    for left, right in pairs:
-        right_rows = _sparse_rows(right)
-        for row, columns in zip(left.rows, cells):
-            for entry, right_row in zip(row, right_rows):
-                if not entry:
-                    continue
-                left_terms = entry._terms.items()
-                for c, right_terms in right_row:
-                    terms = columns[c]
-                    if terms is None:
-                        terms = columns[c] = {}
-                    get = terms.get
-                    for m1, c1 in left_terms:
-                        for m2, c2 in right_terms:
-                            mono = m1 + m2
-                            acc = get(mono)
-                            terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
-    for left, right in minus:
-        right_rows = _sparse_rows(right)
-        for row, columns in zip(left.rows, cells):
-            for entry, right_row in zip(row, right_rows):
-                if not entry:
-                    continue
-                left_terms = entry._terms.items()
-                for c, right_terms in right_row:
-                    terms = columns[c]
-                    if terms is None:
-                        terms = columns[c] = {}
-                    get = terms.get
-                    for m1, c1 in left_terms:
-                        for m2, c2 in right_terms:
-                            mono = m1 + m2
-                            acc = get(mono)
-                            terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
+    cells: list[list[tuple[list, list] | None]] = [[None] * size for _ in range(size)]
+    for side, products in enumerate((pairs, minus)):
+        for left, right in products:
+            right_rows = _sparse_rows(right)
+            for row, columns in zip(left.rows, cells):
+                for entry, right_row in zip(row, right_rows):
+                    if entry:
+                        for c, right_entry in right_row:
+                            cell = columns[c]
+                            if cell is None:
+                                cell = columns[c] = ([], [])
+                            cell[side].append((entry, right_entry))
     zero = space.zero()
     return PolyMatrix._raw(space, size, tuple(
-        tuple(zero if terms is None else _from_products(space, terms) for terms in columns)
+        tuple(zero if cell is None else _dot(space, *cell) for cell in columns)
         for columns in cells))
 
 
-def _sparse_rows(m: PolyMatrix) -> list[list[tuple[int, Iterable]]]:
-    """Each row of ``m`` as (column, terms) for its nonzero entries."""
-    return [[(c, entry._terms.items()) for c, entry in enumerate(row) if entry]
-            for row in m.rows]
+def _sparse_rows(m: PolyMatrix) -> list[list[tuple[int, Polynomial]]]:
+    """Each row of ``m`` as (column, entry) for its nonzero entries."""
+    return [[(c, entry) for c, entry in enumerate(row) if entry] for row in m.rows]

@@ -807,12 +807,16 @@ _set_terms = Polynomial._terms.__set__
 def _dot(space: VarSpace, pairs: Iterable[tuple[Polynomial, Polynomial]],
          minus: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
     """Sum of ``left * right`` over ``pairs``, less the same over ``minus``,
-    for polynomials of ``space``.
+    for polynomials of ``space``.  Each sum of products of the package is
+    one such call per output polynomial: ``*``, an entry of a matrix
+    product or of a Yang-Baxter commutator, a GT row of ``row_sum``.
 
     Every term product goes into one packed term map: a monomial seen for
     the first time stores its product as it is, or negated when it comes
     from ``minus``, and only a repeated one adds or subtracts.  So a
-    difference of products builds no negated polynomial.
+    difference of products builds no negated polynomial.  Then the guard
+    bits are checked over every product monomial, also one whose
+    coefficient cancelled, and the zero coefficients are dropped once.
     """
     terms: dict[int, Coefficient] = {}
     get = terms.get
@@ -830,7 +834,10 @@ def _dot(space: VarSpace, pairs: Iterable[tuple[Polynomial, Polynomial]],
                 mono = m1 + m2
                 acc = get(mono)
                 terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
-    return _from_products(space, terms)
+    space._check_guard(terms)
+    if not all(terms.values()):
+        terms = {m: c for m, c in terms.items() if c}
+    return Polynomial._raw(space, terms)
 
 
 _SHOWN_TERMS = 8  # the leading terms that a long residual or remainder shows
@@ -841,20 +848,6 @@ def _head(p: Polynomial) -> Polynomial:
     monomials with no sort of the whole polynomial."""
     terms = p._terms
     return Polynomial._raw(p.space, {m: terms[m] for m in heapq.nlargest(_SHOWN_TERMS, terms)})
-
-
-def _from_products(space: VarSpace, terms: dict) -> Polynomial:
-    """The polynomial of a term map filled with term products, which the
-    caller gives up: the end step of ``_dot``, of ``matrix._matdot`` and of
-    ``yang_baxter.yb_commutator``.
-
-    The guard bits are checked over every product monomial, also one whose
-    coefficient cancelled, and zero coefficients are dropped once, here.
-    """
-    space._check_guard(terms)
-    if not all(terms.values()):
-        terms = {m: c for m, c in terms.items() if c}
-    return Polynomial._raw(space, terms)
 
 
 def _times_imag(p: Polynomial, sign: int = 1) -> Polynomial:

@@ -13,11 +13,11 @@ Yang-Baxter system built from the R-matrix families.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 from .matrix import PolyMatrix
 from .poly import (ONE, ZERO, GaussianRational, Polynomial, VarSpace, _SHOWN_TERMS,
-                   _check_space, _from_products, _head)
+                   _check_space, _dot, _head)
 from .weights import (IceKind, VertexWeights, _END2, ice_weights, r_weights,
                       r_weights_params)
 
@@ -41,10 +41,10 @@ def lift(phi: PolyMatrix, slot: str) -> PolyMatrix:
                         for y in _BASIS3] for x in _BASIS3])
 
 
-def _moves(w: PolyMatrix) -> list[list[tuple[int, Iterable]]]:
+def _moves(w: PolyMatrix) -> list[list[tuple[int, Polynomial]]]:
     """The nonzero entries of a 4x4 matrix by input pair: item 2x+y lists
-    (2u+v, terms of W[2u+v, 2x+y]), the vertices that send (x, y) to (u, v)."""
-    return [[(out, row[col]._terms.items()) for out, row in enumerate(w.rows) if row[col]]
+    (2u+v, W[2u+v, 2x+y]), the vertices that send (x, y) to (u, v)."""
+    return [[(out, row[col]) for out, row in enumerate(w.rows) if row[col]]
             for col in range(4)]
 
 
@@ -56,12 +56,13 @@ def yb_commutator(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix) -> PolyMatrix:
     W sends the spins (x, y) to (u, v) with weight W[2u+v, 2x+y].  From the
     basis vector (a, b, c), the left side follows T on (b, c), then S on
     (a, c'), then R on (a, b'); the right side follows R on (a, b), then S
-    on (a', c), then T on (b', c').  Each path's term products go straight
-    into the term map of the entry it reaches, the right side's subtracted,
-    and each map ends in ``_from_products``; an entry that no path reaches
-    is the one zero.  Both sides form their R.S pair products first, and
-    the guard bits of those are tested too: three exponents below the limit
-    can carry past their field, two cannot.  ``lift`` builds the oracle.
+    on (a', c), then T on (b', c').  Each R.S pair of a side is one
+    ``_dot``, which also tests its guard bits: three exponents below the
+    limit can carry past their field, two cannot.  A path files its R.S
+    product with its T entry under the entry it reaches, the right side's
+    with the subtracted pairs, and each entry is one ``_dot`` of its two
+    lists; an entry that no path reaches is the one zero.  ``lift`` builds
+    the oracle.
     """
     for phi in (r, s, t):
         if phi.size != 4:
@@ -69,52 +70,39 @@ def yb_commutator(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix) -> PolyMatrix:
     space = r.space
     _check_space(space, (s, t))
     r_moves, s_moves, t_moves = _moves(r), _moves(s), _moves(t)
-    pairs = []  # every R.S pair product, for the guard test
-    # the left side's S then R, from each (a, b', c') that T may reach: the
-    # entry (a'', b'', c') that a pair reaches and its products
-    left = []
-    for a, b, c in _BASIS3:
-        reached = []
-        for s_out, s_terms in s_moves[2 * a + c]:
-            for r_out, r_terms in r_moves[2 * (s_out >> 1) + b]:
-                products = [(m1 + m2, c1 * c2) for m1, c1 in r_terms for m2, c2 in s_terms]
-                pairs.append(products)
-                reached.append((2 * r_out + (s_out & 1), products))
-        left.append(reached)
-    cells: list[dict | None] = [None] * 64  # entry (row, col) at 8 row + col
+    # from each (a, b, c), the R.S pairs of each side and the state each
+    # reaches: on the left S on (a, c), then R on (a', b), reach
+    # (a'', b'', c'); on the right R on (a, b), then S on (a', c), reach
+    # (a'', b', c')
+    sides = ([[(2 * r_out + (s_out & 1), r_entry, s_entry)
+               for s_out, s_entry in s_moves[2 * a + c]
+               for r_out, r_entry in r_moves[2 * (s_out >> 1) + b]] for a, b, c in _BASIS3],
+             [[(4 * (s_out >> 1) + 2 * (r_out & 1) + (s_out & 1), r_entry, s_entry)
+               for r_out, r_entry in r_moves[2 * a + b]
+               for s_out, s_entry in s_moves[2 * (r_out >> 1) + c]] for a, b, c in _BASIS3])
+    left, right = ([[(out, _dot(space, ((r_entry, s_entry),))) for out, r_entry, s_entry in paths]
+                    for paths in side] for side in sides)
+    # entry (row, col) at 8 row + col: its pairs and its subtracted pairs
+    cells: list[tuple[list, list] | None] = [None] * 64
     for col, (a, b, c) in enumerate(_BASIS3):
-        for t_out, t_terms in t_moves[2 * b + c]:
-            for row, products in left[4 * a + t_out]:
-                terms = cells[8 * row + col]
-                if terms is None:
-                    terms = cells[8 * row + col] = {}
-                get = terms.get
-                for m1, c1 in products:
-                    for m2, c2 in t_terms:
-                        mono = m1 + m2
-                        acc = get(mono)
-                        terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
-        # the right side's R then S, then T on (b', c'), subtracted
-        for r_out, r_terms in r_moves[2 * a + b]:
-            for s_out, s_terms in s_moves[2 * (r_out >> 1) + c]:
-                products = [(m1 + m2, c1 * c2) for m1, c1 in r_terms for m2, c2 in s_terms]
-                pairs.append(products)
-                base = 32 * (s_out >> 1) + col  # row 4a'' + t_out
-                for t_out, t_terms in t_moves[2 * (r_out & 1) + (s_out & 1)]:
-                    terms = cells[base + 8 * t_out]
-                    if terms is None:
-                        terms = cells[base + 8 * t_out] = {}
-                    get = terms.get
-                    for m1, c1 in products:
-                        for m2, c2 in t_terms:
-                            mono = m1 + m2
-                            acc = get(mono)
-                            terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2
-    space._check_guard(m for products in pairs for m, _ in products)
+        # the left side: T on (b, c), then the R.S pairs from (a, b', c')
+        for t_out, t_entry in t_moves[2 * b + c]:
+            for row, rs in left[4 * a + t_out]:
+                cell = cells[8 * row + col]
+                if cell is None:
+                    cell = cells[8 * row + col] = ([], [])
+                cell[0].append((rs, t_entry))
+        # the right side: the R.S pairs from (a, b, c), then T on (b', c')
+        for mid, rs in right[col]:
+            base = 8 * (mid & 4) + col  # row 4a'' + t_out
+            for t_out, t_entry in t_moves[mid & 3]:
+                cell = cells[base + 8 * t_out]
+                if cell is None:
+                    cell = cells[base + 8 * t_out] = ([], [])
+                cell[1].append((rs, t_entry))
     zero = space.zero()
     return PolyMatrix._raw(space, 8, tuple(
-        tuple(zero if terms is None else _from_products(space, terms)
-              for terms in cells[row:row + 8])
+        tuple(zero if cell is None else _dot(space, *cell) for cell in cells[row:row + 8])
         for row in range(0, 64, 8)))
 
 

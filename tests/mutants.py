@@ -247,11 +247,11 @@ CATALOG = (
            "is stored negated",
            "tests/test_poly.py::test_dot_minus_equals_the_dot_of_negated_left_factors"),
     Mutant("matmul-row-zero-kept",
-           "src/sixvertex/matrix.py",
-           "_from_products(space, terms)",
-           "Polynomial._raw(space, terms)",
-           "the one-pass row product: each entry goes through _dot's end step, "
-           "which drops the coefficients that cancelled",
+           "src/sixvertex/poly.py",
+           "if not all(terms.values()):",
+           "if False:",
+           "the matrix product: each entry is one _dot, whose end step drops "
+           "the coefficients that cancelled",
            "tests/test_matrix.py::test_matmul_matches_the_textbook_sum[fraction]"),
     Mutant("gaussian-eq-ignores-imaginary",
            "src/sixvertex/poly.py",
@@ -276,23 +276,26 @@ CATALOG = (
            "tests/test_weights.py::test_r_families_equal_the_printed_tables"),
     Mutant("commutator-second-side-added",
            "src/sixvertex/yang_baxter.py",
-           "terms[mono] = -(c1 * c2) if acc is None else acc - c1 * c2",
-           "terms[mono] = c1 * c2 if acc is None else acc + c1 * c2",
-           "yb_commutator's path sum: the paths of T23 S13 R12 are subtracted",
+           "cell[1].append((rs, t_entry))",
+           "cell[0].append((rs, t_entry))",
+           "yb_commutator's path sum: the paths of T23 S13 R12 are filed with "
+           "the subtracted pairs",
            "tests/test_yang_baxter.py::test_star_triangle_sides_match_commutator_entries"),
     Mutant("commutator-pair-guard-dropped",
            "src/sixvertex/yang_baxter.py",
-           "space._check_guard(m for products in pairs for m, _ in products)",
-           "pairs.clear()",
+           "_dot(space, ((r_entry, s_entry),))",
+           "Polynomial._raw(space, {m1 + m2: c1 * c2 for m1, c1 in r_entry._terms.items() "
+           "for m2, c2 in s_entry._terms.items()})",
            "yb_commutator's guard test: three exponents below the limit can "
-           "carry past their field, so the R.S pair products are tested too",
+           "carry past their field, so each R.S pair is a _dot, which tests "
+           "its guard bits",
            "tests/test_yang_baxter.py::test_commutator_keeps_the_exponent_guard"),
     Mutant("matdot-minus-adds",
            "src/sixvertex/matrix.py",
-           "acc - c1 * c2",
-           "acc + c1 * c2",
-           "_matdot's signed row pass: a product in minus at a stored monomial "
-           "is subtracted from it",
+           "cell[side].append((entry, right_entry))",
+           "cell[0].append((entry, right_entry))",
+           "_matdot's row pass: a product in minus is filed with its entry's "
+           "subtracted pairs",
            "tests/test_matrix.py::test_matdot_subtracts_its_minus_pairs[int]"),
 )
 

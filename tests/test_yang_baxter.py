@@ -320,6 +320,8 @@ def test_commutator_matches_the_lifted_products_on_the_ice_families():
             for triple in ((r, s, t), (s, t, r), (t, r, s)):
                 got = yb_commutator(*triple)
                 assert_entrywise_equal(got, lifted_commutator(*triple))
+                # the entries that cancel, wholly or in part, keep no zero
+                assert all(all(entry._terms.values()) for row in got.rows for entry in row)
                 nonzero += not got.is_zero()
     assert nonzero >= 16
 
