@@ -25,8 +25,8 @@ from itertools import accumulate, product
 from typing import Callable, Iterator, Sequence
 
 from .matrix import PolyMatrix
-from .poly import (GuardError, Immutable, Polynomial, VarSpace, _check_space, _dot,
-                   _require_int, poly_sum, prod)
+from .poly import (GuardError, Immutable, Polynomial, VarSpace, _check_space,
+                   _disjoint_product, _dot, _require_int, poly_sum, prod)
 from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
 
 _DEFAULT_MAX_STATES = 10_000_000
@@ -162,9 +162,15 @@ class LatticeState(Immutable):
     and then each row through _check_row: shape, spin values, and the
     boundary; vertex admissibility is checked where weights are taken, so
     that near-miss states can be represented and rejected with coordinates.
+
+    A state built by the state builder also holds, in the private slot
+    _chain, the last node of the builder's chain of row weights, from which
+    state_weight takes its product; a constructed state holds None there.
+    The chain is a cache: equality, hash and pickle equality read only the
+    boundary and the spins.
     """
 
-    __slots__ = ("boundary", "vertical", "horizontal")
+    __slots__ = ("boundary", "vertical", "horizontal", "_chain")
 
     def __init__(self, boundary: BoundarySpec,
                  vertical: Sequence[Sequence[int]],
@@ -182,16 +188,21 @@ class LatticeState(Immutable):
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "horizontal", horizontal)
+        object.__setattr__(self, "_chain", None)
 
     @classmethod
     def _raw(cls, boundary: BoundarySpec, vertical: tuple[tuple[int, ...], ...],
-             horizontal: tuple[tuple[int, ...], ...]) -> "LatticeState":
+             horizontal: tuple[tuple[int, ...], ...], chain: list) -> "LatticeState":
         # internal: tuples owned by the caller, rows valid by construction
         self = object.__new__(cls)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "horizontal", horizontal)
+        _set_boundary(self, boundary)
+        _set_vertical(self, vertical)
+        _set_horizontal(self, horizontal)
+        _set_chain(self, chain)
         return self
+
+    def _slot_values(self) -> tuple:
+        return self.boundary, self.vertical, self.horizontal
 
     def vertex_pattern(self, r: int, c: int) -> tuple[int, int, int, int]:
         """The (W, N, E, S) spins around vertex (r, c)."""
@@ -212,6 +223,14 @@ class LatticeState(Immutable):
     def __repr__(self) -> str:
         return (f"LatticeState({self.boundary!r}, vertical={self.vertical}, "
                 f"horizontal={self.horizontal})")
+
+
+# the setters of LatticeState's slot descriptors, which _raw calls directly,
+# as Polynomial._raw does
+_set_boundary = LatticeState.boundary.__set__
+_set_vertical = LatticeState.vertical.__set__
+_set_horizontal = LatticeState.horizontal.__set__
+_set_chain = LatticeState._chain.__set__
 
 
 def interleavers(row: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
@@ -370,14 +389,14 @@ def _row_matrix(kind: IceKind, n: int, r: int) -> PolyMatrix:
     return ice_weights(VarSpace(n), kind, _row_label(kind, n, r)).end2()
 
 
-@lru_cache(maxsize=None)
 def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
                 below: tuple[int, ...], horizontal: tuple[int, ...]) -> Polynomial:
     """Product of the vertex weights of ice row r, from the row's own edge spins.
 
-    A row's weight depends only on the GT rows above and below it, so within
-    one partition function most rows repeat; partition_function empties
-    this cache when it finishes.
+    Raises ValueError at the first inadmissible vertex.  A row's weight
+    depends only on the GT rows above and below it, so state_weight
+    computes it once per distinct pair of a state builder, keeping it in
+    the builder's memo, and once per row for a state the builder did not make.
     """
     mat = _row_matrix(kind, n, r)
     m = len(above)
@@ -391,20 +410,45 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
 
 
 def state_weight(s: LatticeState) -> Polynomial:
-    """Product of vertex weights, row label i supplying (z_i, t_i)."""
-    b = s.boundary
-    return prod((_row_weight(b.kind, b.n, r, s.vertical[r], s.vertical[r + 1],
-                             s.horizontal[r]) for r in range(b.n)),
-                VarSpace(b.n))
+    """Product of vertex weights, row label i supplying (z_i, t_i).
+
+    A state from the state builder multiplies down the builder's chain of
+    row weights (see _state_builder): each node's product, its parent's
+    times its row's weight, and each row weight are computed on first use
+    and kept, so consecutive states share the products of their common
+    prefix.  Row r's weight holds only the z and t of its own label, so each
+    step is one _disjoint_product, with no merge and no guard bit to test.
+    Any other state, such as outside input or a near-miss with an
+    inadmissible vertex, is one prod of its row weights, checked row by row.
+    """
+    b, node = s.boundary, s._chain
+    if node is None:
+        return prod((_row_weight(b.kind, b.n, r, s.vertical[r], s.vertical[r + 1],
+                                 s.horizontal[r]) for r in range(b.n)),
+                    VarSpace(b.n))
+    pending = []
+    while node[2] is None:
+        pending.append(node)
+        node = node[0]
+    product = node[2]
+    for r, node in enumerate(reversed(pending), b.n - len(pending)):
+        ice_row = node[1]
+        weight = ice_row[1]
+        if weight is None:
+            weight = ice_row[1] = _row_weight(b.kind, b.n, r, s.vertical[r],
+                                              s.vertical[r + 1], ice_row[0])
+        product = node[2] = _disjoint_product(product.space, product, weight)
+    return product
 
 
 def partition_function(b: BoundarySpec) -> Polynomial:
-    """Exact sum of state weights over the whole ensemble."""
-    try:
-        return poly_sum((state_weight(s) for s in enumerate_states(b)),
-                        VarSpace(b.n))
-    finally:
-        _row_weight.cache_clear()
+    """Exact sum of state weights over the whole ensemble.
+
+    Each state comes from enumerate_states, so its weight shares the
+    products of its prefix with the states before it; every memo is local
+    to the enumeration and is freed with it.
+    """
+    return poly_sum((state_weight(s) for s in enumerate_states(b)), VarSpace(b.n))
 
 
 def state_to_gt(s: LatticeState) -> GTPattern:
@@ -446,17 +490,26 @@ def _state_builder(b: BoundarySpec,
     first GT row j that is not the same object as the last pattern's row j
     and rebuilds only vertical rows j..n-1 and horizontal rows from j - 1,
     the ice row above GT row j, down.  A memo maps each GT row to its
-    vertical spins and each (above, below) pair of GT rows to the
-    horizontal spins between them, built when first needed.  The rows are
+    vertical spins and each (above, below) pair of GT rows to an entry
+    [horizontal spins between them, weight of that ice row], built when
+    first needed; the weight stays None until state_weight needs it (the
+    pair fixes the row index, as GT row r has n - r entries).  The rows are
     valid by construction, so nothing is checked: the top row is lambda +
     rho, the bottom row all +, and ice row j starts at b.left_spin and, as
     the vertical rows around it hold n - j and n - j - 1 minus spins (an
     odd total), ends at -b.left_spin, which is b.right_spin.
+
+    Each rebuilt ice row r also gets a new node [parent, memo entry,
+    product] in a chain of row weights: its parent is the node of row
+    r - 1, the root holds the product one, and the product stays None until
+    state_weight fills it.  Each state holds the node of its last row, so
+    a caller that takes no weight multiplies nothing.
     """
     n, left = b.n, b.left_spin
     memo: dict = {}
     vertical: list = [None] * n + [(1,) * b.m]  # the bottom row is all +
     horizontal: list = [None] * n
+    chain: list = [[None, None, VarSpace(n).one()]] + [None] * n
     last: tuple = ()
 
     def build(rows: tuple[tuple[int, ...], ...]) -> LatticeState:
@@ -475,13 +528,14 @@ def _state_builder(b: BoundarySpec,
             vertical[r] = spins
         for r in range(max(j - 1, 0), n):
             pair = (rows[r], rows[r + 1] if r + 1 < n else ())
-            spins = memo.get(pair)
-            if spins is None:
-                spins = memo[pair] = tuple(accumulate(
+            ice_row = memo.get(pair)
+            if ice_row is None:
+                ice_row = memo[pair] = [tuple(accumulate(
                     map(operator.mul, vertical[r], vertical[r + 1]), operator.mul,
-                    initial=left))
-            horizontal[r] = spins
-        return LatticeState._raw(b, tuple(vertical), tuple(horizontal))
+                    initial=left)), None]
+            horizontal[r] = ice_row[0]
+            chain[r + 1] = [chain[r], ice_row, None]
+        return LatticeState._raw(b, tuple(vertical), tuple(horizontal), chain[n])
 
     return build
 

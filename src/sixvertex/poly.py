@@ -72,7 +72,9 @@ class Immutable:
     or, on a hot path such as the ``_raw`` constructors, with the ``__set__``
     of the class's slot descriptors.  Pickle and ``copy`` restore the slots through
     ``__setstate__`` with ``object.__setattr__``.
-    Two values of the same class are equal when every slot is equal.
+    Two values of the same class are equal when every slot that
+    ``_slot_values`` returns is equal: by default every slot, but a class
+    that keeps a cache in a slot, as ``LatticeState`` does, leaves it out.
     """
 
     __slots__ = ()

@@ -72,6 +72,20 @@ CATALOG = (
            "the state builder's prefix rebuild: the first GT row that changed "
            "gets new vertical spins too",
            "tests/test_lattice.py::test_worked_example_two_states"),
+    Mutant("rebuild-ice-rows-from-j",
+           "src/sixvertex/lattice.py",
+           "range(max(j - 1, 0), n)",
+           "range(j, n)",
+           "the state builder's prefix rebuild: the ice row above the first GT "
+           "row that changed gets new horizontal spins and a new weight node",
+           "tests/test_lattice.py::test_worked_example_two_states"),
+    Mutant("weight-chain-to-root",
+           "src/sixvertex/lattice.py",
+           "chain[r + 1] = [chain[r], ",
+           "chain[r + 1] = [chain[0], ",
+           "the weight chain: a rebuilt row's node continues the product of the "
+           "rows above it, not the empty product",
+           "tests/test_lattice.py::test_worked_example_two_states"),
     Mutant("matched-pair-b2",
            "src/sixvertex/weights.py",
            "b2 = delta1_s * a1 * b1 / (delta2_s * a2)",

@@ -1,9 +1,11 @@
 """Tests for square-ice lattices, the pattern bijection, and transfer matrices."""
 
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -573,24 +575,46 @@ def reference_state_weight(s):
 def test_state_weight_matches_the_per_vertex_product():
     for lam in BIJECTION_GRID:
         for kind in IceKind:
-            for s in enumerate_states(BoundarySpec(kind, lam)):
-                assert state_weight(s) == reference_state_weight(s)
+            b = BoundarySpec(kind, lam)
+            states = list(enumerate_states(b))
+            weights = [state_weight(s) for s in states]
+            for s, weight in zip(states, weights):
+                assert weight == reference_state_weight(s)
+                # the constructed twin takes the per-row path, not the chain
+                twin = LatticeState(b, s.vertical, s.horizontal)
+                assert twin == s and hash(twin) == hash(s)
+                assert state_weight(twin) == weight
+            # taken in reverse walk order, each chain is filled from its
+            # deepest node first
+            fresh = list(enumerate_states(b))
+            unfilled = [(pickle.loads(pickle.dumps(s)), copy.deepcopy(s)) for s in fresh]
+            assert [state_weight(s) for s in reversed(fresh)] == weights[::-1]
+            for s, weight, clones in zip(fresh, weights, unfilled):
+                for clone in (*clones, pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                    assert clone == s and hash(clone) == hash(s)
+                    assert state_weight(clone) == weight
 
 
 def test_row_weight_memo_is_emptied_after_each_partition_function(monkeypatch):
+    # the row weights live in the state builder's memo, local to one
+    # enumeration, and no module-level cache holds them: the memo does not
+    # outlive the call, and freeing it leaves no cycle for the collector
     b = BoundarySpec(IceKind.DELTA, (2, 1, 0))
     weights = [state_weight(s) for s in enumerate_states(b)]
-    # rows repeat between states, which is what the memo is for
-    assert lattice._row_weight.cache_info().hits > 0
-    assert partition_function(b) == poly_sum(weights)
-    assert lattice._row_weight.cache_info().currsize == 0
-
-    state_weight(next(enumerate_states(b)))
-    assert lattice._row_weight.cache_info().currsize > 0
-    monkeypatch.setenv("ICE_MAX_STATES", "1")
-    with pytest.raises(RuntimeError, match="ICE_MAX_STATES=1"):
-        partition_function(b)
-    assert lattice._row_weight.cache_info().currsize == 0
+    assert not hasattr(lattice._row_weight, "cache_info")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert partition_function(b) == poly_sum(weights)
+        assert gc.collect() == 0
+        monkeypatch.setenv("ICE_MAX_STATES", "1")
+        with pytest.raises(RuntimeError, match="ICE_MAX_STATES=1"):
+            partition_function(b)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_partition_function_sums_afresh_on_every_call(monkeypatch):
