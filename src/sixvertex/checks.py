@@ -20,7 +20,7 @@ from .lattice import (MAX_TRANSFER_COLS, BoundarySpec, GTPattern,
                       gt_to_state, partition_function, state_to_gt,
                       state_weight, tokuyama_sum, transfer_matrix,
                       validate_partition)
-from .matrix import _matdot
+from .matrix import _matdot, _sparse_rows
 from .poly import GuardError, Polynomial, VarSpace, _require_int, prod
 from .schur import _require_bialternant_bounds, deformed_denominator, schur_bialternant
 from .weights import (IceKind, compose, free_fermion, gamma, pi_map,
@@ -301,8 +301,9 @@ def transfer_commute(max_cols: int) -> list[dict]:
     for cols in range(1, max_cols + 1):
         v1 = transfer_matrix(w1, cols)
         v2 = transfer_matrix(w2, cols)
+        rows1, rows2 = _sparse_rows(v1), _sparse_rows(v2)
         reports.append(report(f"transfer-commute cols={cols}",
-                              _matdot(v1.space, v1.size, ((v1, v2),), ((v2, v1),))))
+                              _matdot(v1.space, v1.size, ((rows1, rows2),), ((rows2, rows1),))))
     return reports
 
 

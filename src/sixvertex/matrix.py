@@ -14,6 +14,9 @@ from typing import Iterable, Sequence
 
 from .poly import Immutable, Polynomial, VarSpace, _check_space, _dot
 
+# a matrix as its rows of (column, entry), one per nonzero entry
+SparseRows = Sequence[Sequence[tuple[int, Polynomial]]]
+
 
 class PolyMatrix(Immutable):
     """Immutable square matrix with Polynomial entries over one VarSpace."""
@@ -64,7 +67,7 @@ class PolyMatrix(Immutable):
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_operand(other)
-        return _matdot(self.space, self.size, ((self, other),))
+        return _matdot(self.space, self.size, ((_sparse_rows(self), _sparse_rows(other)),))
 
     def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
         self._check_operand(other)
@@ -124,35 +127,41 @@ _set_rows = PolyMatrix.rows.__set__
 
 
 def _matdot(space: VarSpace, size: int,
-            pairs: Iterable[tuple[PolyMatrix, PolyMatrix]],
-            minus: Iterable[tuple[PolyMatrix, PolyMatrix]] = ()) -> PolyMatrix:
-    """Sum of ``left @ right`` over ``pairs``, less the same over ``minus``,
-    for matrices of one ``size`` over ``space``; the operands are not checked.
+            chains: Iterable[Sequence[SparseRows]],
+            minus: Iterable[Sequence[SparseRows]] = ()) -> PolyMatrix:
+    """Sum of the products of ``chains``, less the same over ``minus``.
 
-    Row by row (Gustavson 1978), each nonzero left[r][k] meets the nonzero
-    entries of row k of right, and each (left[r][k], right[k][c]) is filed
-    under entry (r, c), with ``pairs`` or with ``minus``, in k order.  Each
-    entry is then one ``poly._dot`` of its two lists, and an entry that no
-    pair reaches is the one zero.
+    A chain is two or more factors in ``_sparse_rows`` form, multiplied
+    left to right; all are ``size`` x ``size`` over ``space``, unchecked.
+    Row by row (Gustavson 1978), each path from row r through the nonzero
+    entries of the factors is followed to the column c that it reaches.
+    Its product through the middle factors is one ``_dot`` of one pair per
+    factor, which also tests the guard bits: three exponents below the
+    limit can carry past their field where two cannot.  That product is
+    filed with the last factor's entry under entry (r, c), with the pairs
+    or, for ``minus``, the subtracted pairs.  Each entry is then one
+    ``poly._dot`` of its two lists, and an entry that no path reaches is
+    the one zero.
     """
     cells: list[list[tuple[list, list] | None]] = [[None] * size for _ in range(size)]
-    for side, products in enumerate((pairs, minus)):
-        for left, right in products:
-            right_rows = _sparse_rows(right)
-            for row, columns in zip(left.rows, cells):
-                for entry, right_row in zip(row, right_rows):
-                    if entry:
-                        for c, right_entry in right_row:
-                            cell = columns[c]
-                            if cell is None:
-                                cell = columns[c] = ([], [])
-                            cell[side].append((entry, right_entry))
+    for side, products in enumerate((chains, minus)):
+        for first, *middle, last in products:
+            for paths, columns in zip(first, cells):
+                for factor in middle:
+                    paths = [(c, _dot(space, ((entry, next_entry),)))
+                             for k, entry in paths for c, next_entry in factor[k]]
+                for k, entry in paths:
+                    for c, last_entry in last[k]:
+                        cell = columns[c]
+                        if cell is None:
+                            cell = columns[c] = ([], [])
+                        cell[side].append((entry, last_entry))
     zero = space.zero()
     return PolyMatrix._raw(space, size, tuple(
         tuple(zero if cell is None else _dot(space, *cell) for cell in columns)
         for columns in cells))
 
 
-def _sparse_rows(m: PolyMatrix) -> list[list[tuple[int, Polynomial]]]:
+def _sparse_rows(m: PolyMatrix) -> SparseRows:
     """Each row of ``m`` as (column, entry) for its nonzero entries."""
     return [[(c, entry) for c, entry in enumerate(row) if entry] for row in m.rows]

@@ -23,7 +23,8 @@ coefficients:
   guard bits on a bound of its product's monomials, and checks them one
   by one only when that bound reaches the limit.  Two monomials whose
   exponent bits are disjoint add to their OR, which sets no guard bit
-  that neither has, so ``prod`` multiplies such factors with no merge.
+  that neither has, so ``_disjoint_product`` multiplies such polynomials,
+  the row weights of a state, with no merge.
 * A coefficient enters as an ``int`` or a ``Fraction``, or as a
   :class:`GaussianRational` when its imaginary part is non-zero.  Arithmetic
   stores whatever its operands produce, so a coefficient computed from a
@@ -810,8 +811,12 @@ def _dot(space: VarSpace, pairs: Iterable[tuple[Polynomial, Polynomial]],
          minus: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
     """Sum of ``left * right`` over ``pairs``, less the same over ``minus``,
     for polynomials of ``space``.  Each sum of products of the package is
-    one such call per output polynomial: ``*``, an entry of a matrix
-    product or of a Yang-Baxter commutator, a GT row of ``row_sum``.
+    one such call per output polynomial: ``*``; a wide factor of ``prod``;
+    a path's product through the middle factors of a ``_matdot`` chain,
+    and each entry of its result (a matrix product, or a transfer-matrix
+    or Yang-Baxter commutator); a GT row of ``row_sum``; a monodromy
+    entry of ``transfer_matrix``; a weight of ``compose`` and the
+    free-fermion and invariant residuals.
 
     Every term product goes into one packed term map: a monomial seen for
     the first time stores its product as it is, or negated when it comes
@@ -919,24 +924,18 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
     A given space must be the factors' own, else the first factor's space
     is; each factor is checked against it.  One-term factors are folded
     into one monomial and coefficient, which shift each monomial of the
-    product once at the end.  A factor of two or more terms whose
-    exponent fields share no bit with the running product's ``hull`` (the
-    OR of its monomials) cannot make two term products meet or set a
-    guard bit, so ``_disjoint_product`` multiplies it in with no merge,
-    and the new hull is the OR of the two.  Factors whose bits overlap,
-    such as the vertex weights of one ice row, go through ``_dot``; the
-    row weights of a state use disjoint variables (row label i supplies
-    only z_i and t_i), so their product needs no ``_dot`` at all.
+    product once at the end.  Each factor of two or more terms after the
+    first is one ``_dot`` with the running product of such factors.
     The value, the stored coefficient types and the factor at which an
     exponent overflow raises are those of the left fold ``f1 * f2 * ...``.
 
     After each factor the guard bits are tested on a bound of the running
-    product's monomials: ``hull`` plus the folded monomial.  Only when
-    that test fires are the monomials checked one by one.  Each variable's
-    largest exponent in a product sits on a term that cannot cancel, so
-    the kept monomials show every overflow that the fold's term products
-    show.  After a zero factor the product is zero, and only the spaces
-    are checked.
+    product's monomials: its ``hull`` (the OR of its monomials) plus the
+    folded monomial.  Only when that test fires are the monomials checked
+    one by one.  Each variable's largest exponent in a product sits on a
+    term that cannot cancel, so the kept monomials show every overflow
+    that the fold's term products show.  After a zero factor the product
+    is zero, and only the spaces are checked.
     """
     body: Polynomial | None = None  # the product of the factors of two or more terms
     hull = 0  # the bitwise OR of body's monomials, within the exponent fields
@@ -955,15 +954,8 @@ def prod(factors: Iterable[Polynomial], space: VarSpace | None = None) -> Polyno
             mono += m
             coeff = c if coeff is None else coeff * c
         elif terms:
-            f_hull = functools.reduce(operator.or_, terms)
-            if body is None:
-                body, hull = f, f_hull
-            elif hull & f_hull & space._mask:
-                body = _dot(space, ((body, f),))
-                hull = functools.reduce(operator.or_, body._terms)
-            else:
-                body = _disjoint_product(space, body, f)
-                hull |= f_hull
+            body = f if body is None else _dot(space, ((body, f),))
+            hull = functools.reduce(operator.or_, body._terms)
         else:
             zero = True
             continue

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, SparseRows, _matdot, _sparse_rows
 from .poly import (ONE, ZERO, GaussianRational, Polynomial, VarSpace, _SHOWN_TERMS,
-                   _check_space, _dot, _head)
+                   _check_space, _head)
 from .weights import (IceKind, VertexWeights, _END2, ice_weights, r_weights,
                       r_weights_params)
 
@@ -31,79 +31,39 @@ _BASIS3 = tuple(itertools.product(range(2), repeat=3))  # (a, b, c) at index 4a 
 
 def lift(phi: PolyMatrix, slot: str) -> PolyMatrix:
     """Extend a 4x4 endomorphism of V (x) V to V^3, identity on the omitted factor."""
+    zero = phi.space.zero()
+    return PolyMatrix([[entries.get(col, zero) for col in range(8)]
+                       for entries in map(dict, _lifted_rows(phi, slot))])
+
+
+def _lifted_rows(phi: PolyMatrix, slot: str) -> SparseRows:
+    """The rows of ``lift(phi, slot)`` in ``_sparse_rows`` form, built from
+    the nonzero entries of phi alone: row x of the lift is row
+    2 x_i + x_j of phi, moved to the columns whose omitted spin is x_k."""
     if phi.size != 4:
         raise ValueError("lift expects a 4x4 matrix")
     if slot not in _SLOT_FACTORS:
         raise ValueError(f"slot must be one of {tuple(_SLOT_FACTORS)}")
     i, j, k = _SLOT_FACTORS[slot]
-    zero = phi.space.zero()
-    return PolyMatrix([[phi[2 * x[i] + x[j], 2 * y[i] + y[j]] if x[k] == y[k] else zero
-                        for y in _BASIS3] for x in _BASIS3])
-
-
-def _moves(w: PolyMatrix) -> list[list[tuple[int, Polynomial]]]:
-    """The nonzero entries of a 4x4 matrix by input pair: item 2x+y lists
-    (2u+v, W[2u+v, 2x+y]), the vertices that send (x, y) to (u, v)."""
-    return [[(out, row[col]) for out, row in enumerate(w.rows) if row[col]]
-            for col in range(4)]
+    wi, wj, wk = 4 >> i, 4 >> j, 4 >> k  # each factor's place value in an index
+    rows = _sparse_rows(phi)
+    return [[(wk * x[k] + wi * (col >> 1) + wj * (col & 1), entry)
+             for col, entry in rows[2 * x[i] + x[j]]] for x in _BASIS3]
 
 
 def yb_commutator(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix) -> PolyMatrix:
     """The 8x8 difference R_12 S_13 T_23 - T_23 S_13 R_12.
 
-    It is computed as the star-triangle path sum (Baxter, *Exactly Solved
-    Models*, ch. 8-9), with no lift and no 8x8 product.  By the vertex rule
-    W sends the spins (x, y) to (u, v) with weight W[2u+v, 2x+y].  From the
-    basis vector (a, b, c), the left side follows T on (b, c), then S on
-    (a, c'), then R on (a, b'); the right side follows R on (a, b), then S
-    on (a', c), then T on (b', c').  Each R.S pair of a side is one
-    ``_dot``, which also tests its guard bits: three exponents below the
-    limit can carry past their field, two cannot.  A path files its R.S
-    product with its T entry under the entry it reaches, the right side's
-    with the subtracted pairs, and each entry is one ``_dot`` of its two
-    lists; an entry that no path reaches is the one zero.  ``lift`` builds
-    the oracle.
+    The three lifts are built as rows of their nonzero entries, with no
+    8x8 matrix, and the difference is one ``_matdot`` of the two chains:
+    a path's product through S_13 is one ``_dot``, which tests its guard
+    bits, and each entry is one ``_dot`` of its pairs less its subtracted
+    pairs.  ``star_triangle_sides`` is the oracle.
     """
-    for phi in (r, s, t):
-        if phi.size != 4:
-            raise ValueError("lift expects a 4x4 matrix")
+    r12, s13, t23 = _lifted_rows(r, "12"), _lifted_rows(s, "13"), _lifted_rows(t, "23")
     space = r.space
     _check_space(space, (s, t))
-    r_moves, s_moves, t_moves = _moves(r), _moves(s), _moves(t)
-    # from each (a, b, c), the R.S pairs of each side and the state each
-    # reaches: on the left S on (a, c), then R on (a', b), reach
-    # (a'', b'', c'); on the right R on (a, b), then S on (a', c), reach
-    # (a'', b', c')
-    sides = ([[(2 * r_out + (s_out & 1), r_entry, s_entry)
-               for s_out, s_entry in s_moves[2 * a + c]
-               for r_out, r_entry in r_moves[2 * (s_out >> 1) + b]] for a, b, c in _BASIS3],
-             [[(4 * (s_out >> 1) + 2 * (r_out & 1) + (s_out & 1), r_entry, s_entry)
-               for r_out, r_entry in r_moves[2 * a + b]
-               for s_out, s_entry in s_moves[2 * (r_out >> 1) + c]] for a, b, c in _BASIS3])
-    left, right = ([[(out, _dot(space, ((r_entry, s_entry),))) for out, r_entry, s_entry in paths]
-                    for paths in side] for side in sides)
-    # entry (row, col) at 8 row + col: its pairs and its subtracted pairs
-    cells: list[tuple[list, list] | None] = [None] * 64
-    for col, (a, b, c) in enumerate(_BASIS3):
-        # the left side: T on (b, c), then the R.S pairs from (a, b', c')
-        for t_out, t_entry in t_moves[2 * b + c]:
-            for row, rs in left[4 * a + t_out]:
-                cell = cells[8 * row + col]
-                if cell is None:
-                    cell = cells[8 * row + col] = ([], [])
-                cell[0].append((rs, t_entry))
-        # the right side: the R.S pairs from (a, b, c), then T on (b', c')
-        for mid, rs in right[col]:
-            base = 8 * (mid & 4) + col  # row 4a'' + t_out
-            for t_out, t_entry in t_moves[mid & 3]:
-                cell = cells[base + 8 * t_out]
-                if cell is None:
-                    cell = cells[base + 8 * t_out] = ([], [])
-                cell[1].append((rs, t_entry))
-    zero = space.zero()
-    return PolyMatrix._raw(space, 8, tuple(
-        tuple(zero if cell is None else _dot(space, *cell) for cell in cells[row:row + 8])
-        for row in range(0, 64, 8)))
+    return _matdot(space, 8, ((r12, s13, t23),), ((t23, s13, r12),))
 
 
 def star_triangle_sides(r: PolyMatrix, s: PolyMatrix, t: PolyMatrix,

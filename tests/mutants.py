@@ -143,22 +143,6 @@ CATALOG = (
            "of hull + mono, so the folded monomial's own guard bits count",
            "tests/test_poly.py::test_prod_of_one_term_factors_overflows_at_the_same_factor_"
            "as_the_fold[folded-field-past-the-limit]"),
-    Mutant("prod-disjoint-always",
-           "src/sixvertex/poly.py",
-           "elif hull & f_hull & space._mask:",
-           "elif False:",
-           "prod's product rule: a factor whose exponent bits overlap the "
-           "running product's makes term products meet, which must merge",
-           "tests/test_poly.py::test_prod_of_wide_factors_matches_the_fold_and_the_term_by_term_"
-           "product[overlapping]"),
-    Mutant("prod-disjoint-hull-dropped",
-           "src/sixvertex/poly.py",
-           "hull |= f_hull",
-           "hull = f_hull",
-           "prod's running hull: after a product with no shared bit it is "
-           "the OR of both operands' hulls, not the new factor's alone",
-           "tests/test_poly.py::test_prod_of_one_term_factors_overflows_at_the_same_factor_"
-           "as_the_fold[wide-factor-after-folded-ones]"),
     Mutant("weak-walked-strict",
            "src/sixvertex/lattice.py",
            "if not strict or len(row) < 3:",
@@ -289,25 +273,27 @@ CATALOG = (
            "-(d1 d2), so it is negated",
            "tests/test_weights.py::test_r_families_equal_the_printed_tables"),
     Mutant("commutator-second-side-added",
-           "src/sixvertex/yang_baxter.py",
-           "cell[1].append((rs, t_entry))",
-           "cell[0].append((rs, t_entry))",
-           "yb_commutator's path sum: the paths of T23 S13 R12 are filed with "
-           "the subtracted pairs",
-           "tests/test_yang_baxter.py::test_star_triangle_sides_match_commutator_entries"),
+           "src/sixvertex/matrix.py",
+           "cell[side].append((entry, last_entry))",
+           "cell[side and not middle].append((entry, last_entry))",
+           "_matdot's chain product: the paths of a minus chain of three "
+           "factors, such as T23 S13 R12 in yb_commutator, are filed with the "
+           "subtracted pairs",
+           "tests/test_yang_baxter.py::test_commutator_matches_the_star_triangle_sides_"
+           "on_the_ice_families"),
     Mutant("commutator-pair-guard-dropped",
-           "src/sixvertex/yang_baxter.py",
-           "_dot(space, ((r_entry, s_entry),))",
-           "Polynomial._raw(space, {m1 + m2: c1 * c2 for m1, c1 in r_entry._terms.items() "
-           "for m2, c2 in s_entry._terms.items()})",
-           "yb_commutator's guard test: three exponents below the limit can "
-           "carry past their field, so each R.S pair is a _dot, which tests "
-           "its guard bits",
+           "src/sixvertex/matrix.py",
+           "_dot(space, ((entry, next_entry),))",
+           "Polynomial._raw(space, {m1 + m2: c1 * c2 for m1, c1 in entry._terms.items() "
+           "for m2, c2 in next_entry._terms.items()})",
+           "_matdot's middle products: three exponents below the limit can carry "
+           "past their field, so a path's product through a middle factor is a "
+           "_dot, which tests its guard bits",
            "tests/test_yang_baxter.py::test_commutator_keeps_the_exponent_guard"),
     Mutant("matdot-minus-adds",
            "src/sixvertex/matrix.py",
-           "cell[side].append((entry, right_entry))",
-           "cell[0].append((entry, right_entry))",
+           "cell[side].append((entry, last_entry))",
+           "cell[0].append((entry, last_entry))",
            "_matdot's row pass: a product in minus is filed with its entry's "
            "subtracted pairs",
            "tests/test_matrix.py::test_matdot_subtracts_its_minus_pairs[int]"),

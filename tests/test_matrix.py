@@ -1,5 +1,6 @@
 """Tests for polynomial matrices."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sixvertex.matrix import PolyMatrix, _matdot
+from sixvertex.matrix import PolyMatrix, _matdot, _sparse_rows
 from sixvertex.poly import EXPONENT_LIMIT, IMAG, GaussianRational, VarSpace, _dot, poly_sum, prod
 
 
@@ -252,6 +253,11 @@ def textbook_matdot(space, size, pairs, minus):
     return total
 
 
+def sparse(products):
+    """Each chain of matrices as a chain of their ``_sparse_rows``."""
+    return [tuple(map(_sparse_rows, chain)) for chain in products]
+
+
 @st.composite
 def matdot_operands(draw):
     """0-2 pairs and 0-2 minus pairs of sparse matrices of one size and rank."""
@@ -270,7 +276,7 @@ def matdot_operands(draw):
 @given(matdot_operands())
 def test_matdot_matches_the_sum_of_products(operands):
     space, size, pairs, minus = operands
-    got = _matdot(space, size, pairs, minus)
+    got = _matdot(space, size, sparse(pairs), sparse(minus))
     want = textbook_matdot(space, size, pairs, minus)
     assert got.space is space and got.size == size
     for r in range(size):
@@ -292,12 +298,13 @@ def test_matdot_subtracts_its_minus_pairs(kind):
         for _ in range(3):
             a, b, c, d = (sparse_poly_matrix(rng, space, size, coefficient)
                           for _ in range(4))
-            assert _matdot(space, size, ((a, b),), ((c, d),)) == a @ b - c @ d
+            ab, ba, cd = sparse(((a, b), (b, a), (c, d)))
+            assert _matdot(space, size, (ab,), (cd,)) == a @ b - c @ d
             # a commutator, and a difference that cancels to the one zero
-            assert _matdot(space, size, ((a, b),), ((b, a),)) == a @ b - b @ a
-            cancelled = _matdot(space, size, ((a, b), (c, d)), ((c, d),))
+            assert _matdot(space, size, (ab,), (ba,)) == a @ b - b @ a
+            cancelled = _matdot(space, size, (ab, cd), (cd,))
             assert cancelled == a @ b and holds_no_zero_coefficient(cancelled)
-            assert _matdot(space, size, ((a, b),), ((a, b),)).is_zero()
+            assert _matdot(space, size, (ab,), (ab,)).is_zero()
     assert _matdot(space, 2, (), ()) == PolyMatrix.zeros(space, 2)
 
 
@@ -306,4 +313,55 @@ def test_matdot_keeps_the_exponent_guard_on_minus():
     half, one = space.z(1, EXPONENT_LIMIT // 2), space.one()
     over, unit = PolyMatrix([[half]]), PolyMatrix([[one]])
     with pytest.raises(OverflowError):
-        _matdot(space, 1, ((unit, unit),), ((over, over),))
+        _matdot(space, 1, sparse(((unit, unit),)), sparse(((over, over),)))
+
+
+def textbook_chain(space, size, chain):
+    """The product of a chain of matrices, one textbook_matdot per factor."""
+    return functools.reduce(
+        lambda left, right: textbook_matdot(space, size, ((left, right),), ()), chain)
+
+
+@st.composite
+def matdot_chains(draw):
+    """0-2 chains and 0-2 minus chains of 2-4 sparse matrices of one size and rank."""
+    space = VarSpace(draw(st.integers(0, 2)))
+    size = draw(st.sampled_from((1, 2, 4, 8)))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    rng = draw(st.randoms(use_true_random=False))
+
+    def chains():
+        return [tuple(sparse_poly_matrix(rng, space, size, coefficient)
+                      for _ in range(draw(st.integers(2, 4))))
+                for _ in range(draw(st.integers(0, 2)))]
+    return space, size, chains(), chains()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matdot_chains())
+def test_matdot_chains_match_the_composed_textbook_products(operands):
+    space, size, chains, minus = operands
+    got = _matdot(space, size, sparse(chains), sparse(minus))
+    want = textbook_matdot(space, size,
+                           [(textbook_chain(space, size, c[:-1]), c[-1]) for c in chains],
+                           [(textbook_chain(space, size, c[:-1]), c[-1]) for c in minus])
+    assert got.space is space and got.size == size
+    assert holds_no_zero_coefficient(got)
+    for r in range(size):
+        for c in range(size):
+            assert got[r, c] == want[r, c]
+            assert got[r, c].space is space
+
+
+def test_matdot_chain_tests_the_guard_of_each_middle_product():
+    # three exponents of limit - 1: the sum of all three carries out of the
+    # t field, so only the guard test of the middle product sees it
+    space = VarSpace(1)
+    near = PolyMatrix([[space.t(1, EXPONENT_LIMIT - 1)]])
+    for chains, minus in (((near, near, near),), ()), ((), ((near, near, near),)):
+        with pytest.raises(OverflowError, match="exponent overflow"):
+            _matdot(space, 1, sparse(chains), sparse(minus))
+    below = PolyMatrix([[space.t(1, EXPONENT_LIMIT // 2 - 1)]])
+    unit = PolyMatrix([[space.one()]])
+    got = _matdot(space, 1, sparse(((below, below, unit),)))
+    assert got[0, 0] == space.t(1, EXPONENT_LIMIT - 2)

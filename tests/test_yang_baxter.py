@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sixvertex import yang_baxter
-from sixvertex.matrix import PolyMatrix
+from sixvertex.matrix import PolyMatrix, _sparse_rows
 from sixvertex.poly import EXPONENT_LIMIT, GaussianRational, Polynomial, VarSpace, poly_sum
 from sixvertex.weights import (IceKind, gamma, ice_weights, r_weights, r_weights_params,
                                random_free_fermionic, random_matched_pair,
@@ -289,7 +289,7 @@ def test_yb_system_reports_a_broken_mixed_family_under_every_name(monkeypatch):
                 assert witnesses == [witnesses[0]] * 3
 
 
-# -- the path sum against the lifted products --------------------------------
+# -- the chain product against the star-triangle sides and the lifts ----------
 
 def lifted_commutator(r, s, t):
     """[[R, S, T]] from the definition: three lifts and four 8x8 products."""
@@ -304,6 +304,84 @@ def assert_entrywise_equal(got, want):
         for col in range(8):
             assert got[row, col] == want[row, col]
             assert got[row, col].space is want.space
+
+
+def star_triangle_commutator(r, s, t):
+    """[[R, S, T]] entry by entry from ``star_triangle_sides``, whose index
+    sums share no code with ``yb_commutator``'s chain product."""
+    rows = [[None] * 8 for _ in range(8)]
+    for sigma, tau, beta, theta, rho, alpha in itertools.product(range(2), repeat=6):
+        lhs, rhs = star_triangle_sides(r, s, t, sigma, tau, beta, theta, rho, alpha)
+        rows[4 * theta + 2 * rho + alpha][4 * sigma + 2 * tau + beta] = rhs - lhs
+    return PolyMatrix(rows)
+
+
+def sparse_matrix(rng, space, coefficient=lambda rng: rng.randint(-3, 3)):
+    """A 4x4 matrix, about half of its entries zero, the others 1-3 terms
+    of low degree with coefficients drawn by ``coefficient``."""
+    def entry():
+        if rng.random() < 0.5:
+            return space.zero()
+        return Polynomial(space, {tuple(rng.randint(0, 2) for _ in range(2 * space.n)):
+                                  coefficient(rng) for _ in range(rng.randint(1, 3))})
+    return PolyMatrix([[entry() for _ in range(4)] for _ in range(4)])
+
+
+def kronecker_lift(phi, slot):
+    """The lift built from Kronecker products: phi (x) I, I (x) phi, and for
+    slot 13 phi (x) I with the second and third factors exchanged, which
+    moves rows and columns and multiplies nothing."""
+    ident = PolyMatrix.identity(phi.space, 2)
+    if slot == "12":
+        return phi.kron(ident)
+    if slot == "23":
+        return ident.kron(phi)
+    order = [4 * a + 2 * c + b for a, b, c in itertools.product(range(2), repeat=3)]
+    wide = phi.kron(ident)
+    return PolyMatrix([[wide[r, c] for c in order] for r in order])
+
+
+def test_lifted_rows_are_the_sparse_rows_of_the_kronecker_lifts():
+    rng = random.Random(6)
+    space = VarSpace(2)
+    for _ in range(10):
+        phi = sparse_matrix(rng, space)
+        for slot in ("12", "13", "23"):
+            want = kronecker_lift(phi, slot)
+            assert yang_baxter._lifted_rows(phi, slot) == _sparse_rows(want)
+            assert lift(phi, slot) == want
+
+
+def test_commutator_matches_the_star_triangle_sides_on_the_ice_families():
+    # the rank-3 triples of the ybe check, plain and hatted, which vanish,
+    # and their arguments rotated, which do not
+    space = VarSpace(3)
+    p1, p2, p3 = [(space.z(k), space.t(k)) for k in (1, 2, 3)]
+    nonzero = 0
+    for x, y, z in itertools.product(IceKind, repeat=3):
+        for hat in (False, True):
+            f12, f13, f23 = yang_baxter._families(((x, y), (x, z), (y, z)), hat)
+            r, s, t = f12(*p1, *p2), f13(*p1, *p3), f23(*p2, *p3)
+            for k, triple in enumerate(((r, s, t), (s, t, r), (t, r, s))):
+                got = yb_commutator(*triple)
+                assert_entrywise_equal(got, star_triangle_commutator(*triple))
+                assert got.is_zero() == (k == 0)
+                nonzero += not got.is_zero()
+    assert nonzero == 2 * 2 * 8
+
+
+def test_commutator_matches_the_star_triangle_sides_on_gaussian_triples():
+    rng = random.Random(7)
+    nonzero = 0
+    for rank in (0, 1, 2):
+        space = VarSpace(rank)
+        for _ in range(5):
+            triple = [sparse_matrix(rng, space, lambda rng: GaussianRational(
+                rng.randint(-2, 2), rng.randint(-2, 2))) for _ in range(3)]
+            got = yb_commutator(*triple)
+            assert_entrywise_equal(got, star_triangle_commutator(*triple))
+            nonzero += not got.is_zero()
+    assert nonzero >= 10
 
 
 def test_commutator_matches_the_lifted_products_on_the_ice_families():
