@@ -296,11 +296,11 @@ def transfer_commute(max_cols: int) -> list[dict]:
     if max_cols > MAX_TRANSFER_COLS:
         raise GuardError(f"--cols must be at most {MAX_TRANSFER_COLS}")
     space = VarSpace(2)
-    w1, w2 = gamma(space, 1), gamma(space, 2)
+    mat1, mat2 = gamma(space, 1).end2(), gamma(space, 2).end2()
     reports = []
     for cols in range(1, max_cols + 1):
-        v1 = transfer_matrix(w1, cols)
-        v2 = transfer_matrix(w2, cols)
+        v1 = transfer_matrix(mat1, cols)
+        v2 = transfer_matrix(mat2, cols)
         rows1, rows2 = _sparse_rows(v1), _sparse_rows(v2)
         reports.append(report(f"transfer-commute cols={cols}",
                               _matdot(v1.space, v1.size, ((rows1, rows2),), ((rows2, rows1),))))

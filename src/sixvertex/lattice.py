@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 from .matrix import PolyMatrix
 from .poly import (GuardError, Immutable, Polynomial, VarSpace, _check_space,
                    _disjoint_product, _dot, _require_int, poly_sum, prod)
-from .weights import IceKind, VertexWeights, _vertex_entry, ice_weights
+from .weights import IceKind, _vertex_entry, ice_weights
 
 _DEFAULT_MAX_STATES = 10_000_000
 
@@ -163,11 +163,12 @@ class LatticeState(Immutable):
     boundary; vertex admissibility is checked where weights are taken, so
     that near-miss states can be represented and rejected with coordinates.
 
-    A state built by the state builder also holds, in the private slot
-    _chain, the last node of the builder's chain of row weights, from which
-    state_weight takes its product; a constructed state holds None there.
-    The chain is a cache: equality, hash and pickle equality read only the
-    boundary and the spins.
+    Every state holds, in the private slot _chain, the last node of a chain
+    of row weights (see _state_builder), from which state_weight takes its
+    product: a state of the state builder shares the builder's chain, and
+    the constructor builds one of the state's own, a root holding the
+    product one and a node per ice row.  The chain is a cache: equality,
+    hash and pickle equality read only the boundary and the spins.
     """
 
     __slots__ = ("boundary", "vertical", "horizontal", "_chain")
@@ -188,7 +189,10 @@ class LatticeState(Immutable):
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "_chain", None)
+        node = [None, None, VarSpace(boundary.n).one()]
+        for row in horizontal:
+            node = [node, [row, None], None]
+        object.__setattr__(self, "_chain", node)
 
     @classmethod
     def _raw(cls, boundary: BoundarySpec, vertical: tuple[tuple[int, ...], ...],
@@ -203,11 +207,6 @@ class LatticeState(Immutable):
 
     def _slot_values(self) -> tuple:
         return self.boundary, self.vertical, self.horizontal
-
-    def vertex_pattern(self, r: int, c: int) -> tuple[int, int, int, int]:
-        """The (W, N, E, S) spins around vertex (r, c)."""
-        return (self.horizontal[r][c], self.vertical[r][c],
-                self.horizontal[r][c + 1], self.vertical[r + 1][c])
 
     def to_json(self) -> dict:
         return {"lambda": list(self.boundary.lam),
@@ -396,7 +395,7 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
     Raises ValueError at the first inadmissible vertex.  A row's weight
     depends only on the GT rows above and below it, so state_weight
     computes it once per distinct pair of a state builder, keeping it in
-    the builder's memo, and once per row for a state the builder did not make.
+    the builder's memo, and once per row of a constructed state.
     """
     mat = _row_matrix(kind, n, r)
     m = len(above)
@@ -412,20 +411,17 @@ def _row_weight(kind: IceKind, n: int, r: int, above: tuple[int, ...],
 def state_weight(s: LatticeState) -> Polynomial:
     """Product of vertex weights, row label i supplying (z_i, t_i).
 
-    A state from the state builder multiplies down the builder's chain of
-    row weights (see _state_builder): each node's product, its parent's
-    times its row's weight, and each row weight are computed on first use
-    and kept, so consecutive states share the products of their common
-    prefix.  Row r's weight holds only the z and t of its own label, so each
-    step is one _disjoint_product, with no merge and no guard bit to test.
-    Any other state, such as outside input or a near-miss with an
-    inadmissible vertex, is one prod of its row weights, checked row by row.
+    The product runs down the state's chain of row weights (see
+    _state_builder), from the deepest node whose product is known: each
+    row weight is computed on first use and kept, and so is each node's
+    product, its parent's times its row's weight, except the last row's,
+    which no other state shares.  Consecutive states of a walk thus share
+    the products of their common prefix.  Row r's weight holds only the z
+    and t of its own label, so each step is one _disjoint_product, with no
+    merge and no guard bit to test.  A row weight raises ValueError at the
+    first inadmissible vertex, and the rows are taken top down.
     """
     b, node = s.boundary, s._chain
-    if node is None:
-        return prod((_row_weight(b.kind, b.n, r, s.vertical[r], s.vertical[r + 1],
-                                 s.horizontal[r]) for r in range(b.n)),
-                    VarSpace(b.n))
     pending = []
     while node[2] is None:
         pending.append(node)
@@ -437,7 +433,9 @@ def state_weight(s: LatticeState) -> Polynomial:
         if weight is None:
             weight = ice_row[1] = _row_weight(b.kind, b.n, r, s.vertical[r],
                                               s.vertical[r + 1], ice_row[0])
-        product = node[2] = _disjoint_product(product.space, product, weight)
+        product = _disjoint_product(product.space, product, weight)
+        if r < b.n - 1:
+            node[2] = product
     return product
 
 
@@ -502,8 +500,9 @@ def _state_builder(b: BoundarySpec,
     Each rebuilt ice row r also gets a new node [parent, memo entry,
     product] in a chain of row weights: its parent is the node of row
     r - 1, the root holds the product one, and the product stays None until
-    state_weight fills it.  Each state holds the node of its last row, so
-    a caller that takes no weight multiplies nothing.
+    state_weight fills it, as it never does in the last row's node.  Each
+    state holds the node of its last row, so a caller that takes no weight
+    multiplies nothing.
     """
     n, left = b.n, b.left_spin
     memo: dict = {}
@@ -579,8 +578,9 @@ def tokuyama_sum(lam: Sequence[int], per_row_t: bool) -> Polynomial:
     return row_sum(_plus_rho(lam), True, factor)
 
 
-def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
-    """Row-transfer matrix on n_cols columns with periodic horizontal edges.
+def transfer_matrix(mat: PolyMatrix, n_cols: int) -> PolyMatrix:
+    """Row-transfer matrix of the 4x4 vertex matrix `mat` (a weight system's
+    end2()) on n_cols columns with periodic horizontal edges.
 
     V[alpha, beta] is the trace, over the horizontal edge, of the column
     monodromy M[alpha, beta], a 2x2 matrix indexed [right, left] by the
@@ -598,7 +598,6 @@ def transfer_matrix(w: VertexWeights | PolyMatrix, n_cols: int) -> PolyMatrix:
     _require_int(n_cols, "n_cols")
     if not 1 <= n_cols <= MAX_TRANSFER_COLS:
         raise ValueError(f"n_cols must be between 1 and {MAX_TRANSFER_COLS}, got {n_cols}")
-    mat = w.end2() if isinstance(w, VertexWeights) else w
     if mat.size != 4:
         raise ValueError("vertex matrix must be 4x4")
     space = mat.space

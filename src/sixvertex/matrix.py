@@ -84,16 +84,6 @@ class PolyMatrix(Immutable):
     def scale(self, factor) -> "PolyMatrix":
         return PolyMatrix([[entry * factor for entry in row] for row in self.rows])
 
-    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        m, k = self.size, other.size
-        out = [[None] * (m * k) for _ in range(m * k)]
-        for r1 in range(m):
-            for c1 in range(m):
-                for r2 in range(k):
-                    for c2 in range(k):
-                        out[r1 * k + r2][c1 * k + c2] = self.rows[r1][c1] * other.rows[r2][c2]
-        return PolyMatrix(out)
-
     def is_zero(self) -> bool:
         return all(entry.is_zero() for row in self.rows for entry in row)
 

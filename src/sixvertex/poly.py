@@ -33,7 +33,7 @@ coefficients:
   ``GaussianRational`` like its ``Fraction``, so the stored type never shows.
 
 Exponent tuples and ``GaussianRational`` coefficients appear only at the
-public edge: the constructor, ``terms()``, ``leading()``, ``to_json``,
+public edge: the constructor, ``terms()``, ``to_json``,
 ``substitute``/``evaluate`` and ``degree_in_t``.
 ``permute_rank_variables`` moves the packed fields with masks and shifts.
 The two output writers, ``json_pieces`` and ``text_pieces``, build no
@@ -572,12 +572,6 @@ class Polynomial(Immutable):
         if self.is_constant():
             return hash(self.constant_value())
         return hash((self.n, frozenset(self._terms.items())))
-
-    def leading(self) -> tuple[Monomial, GaussianRational]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms)
-        return self.space._unpack(mono), _gauss(self._terms[mono])
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self/divisor; raises if the division leaves a remainder.

@@ -86,6 +86,13 @@ CATALOG = (
            "the weight chain: a rebuilt row's node continues the product of the "
            "rows above it, not the empty product",
            "tests/test_lattice.py::test_worked_example_two_states"),
+    Mutant("constructed-chain-to-root",
+           "src/sixvertex/lattice.py",
+           "node = [node, [row, None], None]",
+           "node = [node[0] or node, [row, None], None]",
+           "the chain of a constructed state: each ice row's node continues the "
+           "product of the rows above it, not the empty product",
+           "tests/test_lattice.py::test_state_weight_matches_the_per_vertex_product"),
     Mutant("matched-pair-b2",
            "src/sixvertex/weights.py",
            "b2 = delta1_s * a1 * b1 / (delta2_s * a2)",

@@ -5,11 +5,13 @@ Each test asserts on one group of ``checks.suite(4, 4)``, the suite that
 covers every partition with at most 4 rows and parts at most 4, plus two
 rank-5 spot checks.  Each group's name and check count come from its row
 of ``checks.CATALOG``, found by the test's criterion number.
+``test_public_surface`` pins the public names of the package.
 """
 
 import pytest
 
-from sixvertex import checks
+import sixvertex
+from sixvertex import LatticeState, PolyMatrix, Polynomial, checks
 from sixvertex.poly import VarSpace
 from sixvertex.weights import IceKind
 from sixvertex.yang_baxter import check_triangularity
@@ -32,6 +34,39 @@ def assert_criterion(groups, number):
                 if r["status"] != "pass"]
     assert not failures, failures
     assert len(reports) == row.count
+
+
+# The public names of the package and of its three value classes: a name
+# that comes or goes is an API change, and CHANGES.md records it as one.
+PUBLIC_SURFACE = {
+    PolyMatrix: ["identity", "is_zero", "nonzero_entries", "rows", "scalar_value",
+                 "scale", "size", "space", "zeros"],
+    Polynomial: ["constant_value", "contains_t", "degree_in_t", "evaluate",
+                 "exact_div", "from_json", "is_constant", "is_zero", "json_pieces",
+                 "n", "permute_rank_variables", "space", "substitute", "terms",
+                 "text_pieces", "to_json"],
+    LatticeState: ["boundary", "from_json", "horizontal", "to_json", "vertical"],
+}
+
+
+def test_public_surface():
+    assert sixvertex.__all__ == [
+        "BoundarySpec", "GTPattern", "GaussianRational", "IMAG", "IceKind",
+        "LatticeState", "ONE", "PolyMatrix", "Polynomial", "VarSpace",
+        "VertexWeights", "ZERO", "brute_force_states", "check_ice_commutator",
+        "check_parametrized_ybe", "check_triangularity", "check_yb_system",
+        "compose", "ddagger", "deformed_denominator", "delta", "delta_invariants",
+        "enumerate_states", "free_fermion", "gamma", "gt_row_sums", "gt_to_state",
+        "hatted", "ice_weights", "inverse_scaled", "invariants_match", "lift",
+        "partition_function", "pi_map", "poly_sum", "prod", "r_family",
+        "r_solution_space", "r_weights", "r_weights_params", "random_free_fermionic",
+        "random_matched_pair", "random_mismatched_pair", "s_gamma",
+        "schur_bialternant", "schur_pattern_sum", "solve_R_from_ST",
+        "star_triangle_sides", "state_to_gt", "state_weight", "swap_matrix",
+        "tokuyama_sum", "transfer_matrix", "validate_partition", "yb_commutator"]
+    assert all(hasattr(sixvertex, name) for name in sixvertex.__all__)
+    for cls, names in PUBLIC_SURFACE.items():
+        assert sorted(name for name in dir(cls) if not name.startswith("_")) == names, cls
 
 
 def test_every_group_has_one_criterion():

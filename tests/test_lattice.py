@@ -499,13 +499,19 @@ def test_state_validation_errors():
         LatticeState(b, bad_bottom, good.horizontal)
 
 
+def vertex_pattern(state, r, c):
+    """The (W, N, E, S) spins around vertex (r, c) of ``state``."""
+    return (state.horizontal[r][c], state.vertical[r][c],
+            state.horizontal[r][c + 1], state.vertical[r + 1][c])
+
+
 def first_inadmissible(state):
     """Coordinates of the first vertex of ``state`` whose weight is zero, if any."""
     b = state.boundary
     for r in range(b.n):
         mat = lattice._row_matrix(b.kind, b.n, r)
         for c in range(b.m):
-            if not mat[_vertex_entry(*state.vertex_pattern(r, c))]:
+            if not mat[_vertex_entry(*vertex_pattern(state, r, c))]:
                 return r, c
     return None
 
@@ -566,7 +572,7 @@ def reference_state_weight(s):
     for r in range(b.n):
         w = ice_weights(space, b.kind, lattice._row_label(b.kind, b.n, r))
         for c in range(b.m):
-            pattern = s.vertex_pattern(r, c)
+            pattern = vertex_pattern(s, r, c)
             assert PAPER_VERTICES[pattern] not in FORBIDDEN[b.kind]
             total = total * getattr(w, PAPER_VERTICES[pattern])
     return total
@@ -580,10 +586,15 @@ def test_state_weight_matches_the_per_vertex_product():
             weights = [state_weight(s) for s in states]
             for s, weight in zip(states, weights):
                 assert weight == reference_state_weight(s)
-                # the constructed twin takes the per-row path, not the chain
+                # the constructed twin walks a chain of its own, built by the
+                # constructor, and shares no node with the walk
                 twin = LatticeState(b, s.vertical, s.horizontal)
                 assert twin == s and hash(twin) == hash(s)
+                unfilled_twin = pickle.loads(pickle.dumps(twin))
                 assert state_weight(twin) == weight
+                # a second call multiplies the last row again, as no node keeps it
+                for again in (twin, s, unfilled_twin, copy.copy(twin)):
+                    assert state_weight(again) == weight
             # taken in reverse walk order, each chain is filled from its
             # deepest node first
             fresh = list(enumerate_states(b))
@@ -593,6 +604,18 @@ def test_state_weight_matches_the_per_vertex_product():
                 for clone in (*clones, pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
                     assert clone == s and hash(clone) == hash(s)
                     assert state_weight(clone) == weight
+
+
+def test_a_kept_state_holds_no_weight_of_its_own():
+    # every chain node but the last row's keeps its product, so the weights
+    # of kept states are freed with the caller's references
+    for kind in IceKind:
+        b = BoundarySpec(kind, (2, 1, 0))
+        states = list(enumerate_states(b))
+        states.append(LatticeState(b, states[0].vertical, states[0].horizontal))
+        for s in states:
+            state_weight(s)
+            assert s._chain[2] is None and s._chain[0][2] is not None
 
 
 def test_row_weight_memo_is_emptied_after_each_partition_function(monkeypatch):
@@ -683,7 +706,7 @@ def test_tokuyama_single_t_factorization():
 
 def test_transfer_matrix_single_column():
     space = VarSpace(1)
-    v = transfer_matrix(gamma(space, 1), 1)
+    v = transfer_matrix(gamma(space, 1).end2(), 1)
     expected = PolyMatrix([[space.z(1) + 1, space.zero()],
                            [space.zero(), space.z(1) + space.t(1)]])
     assert v == expected
@@ -699,8 +722,8 @@ def test_transfer_matrix_identity_weights():
 
 def test_transfer_matrix_commutation():
     space = VarSpace(2)
-    v1 = transfer_matrix(gamma(space, 1), 2)
-    v2 = transfer_matrix(gamma(space, 2), 2)
+    v1 = transfer_matrix(gamma(space, 1).end2(), 2)
+    v2 = transfer_matrix(gamma(space, 2).end2(), 2)
     assert v1 @ v2 == v2 @ v1
 
 
@@ -766,11 +789,11 @@ def test_transfer_matrix_matches_brute_force_ring_sum(name, n_cols):
 def test_transfer_matrix_guards():
     space = VarSpace(1)
     with pytest.raises(ValueError):
-        transfer_matrix(gamma(space, 1), 0)
+        transfer_matrix(gamma(space, 1).end2(), 0)
     with pytest.raises(ValueError):
-        transfer_matrix(gamma(space, 1), 7)
+        transfer_matrix(gamma(space, 1).end2(), 7)
     with pytest.raises(ValueError):
         transfer_matrix(PolyMatrix.identity(space, 2), 2)
     for bad in (True, False, 2.0):
         with pytest.raises(TypeError, match="n_cols must be an int"):
-            transfer_matrix(gamma(space, 1), bad)
+            transfer_matrix(gamma(space, 1).end2(), bad)

@@ -66,30 +66,6 @@ def test_add_sub_scale():
     assert a.scale(space.z(1))[1, 2] == a[1, 2] * space.z(1)
 
 
-def test_kron_block_structure():
-    rng = random.Random(1)
-    space = VarSpace(1)
-    a = random_matrix(rng, space, 2)
-    b = random_matrix(rng, space, 2)
-    k = a.kron(b)
-    assert k.size == 4
-    for r1 in range(2):
-        for c1 in range(2):
-            for r2 in range(2):
-                for c2 in range(2):
-                    assert k[2 * r1 + r2, 2 * c1 + c2] == a[r1, c1] * b[r2, c2]
-    ident = PolyMatrix.identity(space, 2)
-    assert ident.kron(ident) == PolyMatrix.identity(space, 4)
-
-
-def test_kron_mixed_product():
-    # (A kron B)(C kron D) = AC kron BD
-    rng = random.Random(2)
-    space = VarSpace(0)
-    a, b, c, d = (random_matrix(rng, space, 2) for _ in range(4))
-    assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
-
-
 def test_nonzero_entries_row_major():
     space = VarSpace(1)
     z = space.z(1)
