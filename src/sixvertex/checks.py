@@ -5,7 +5,8 @@ Every function returns a list of records built by ``yang_baxter.report``.
 ``verify tokuyama``, ``verify statement-b`` and the acceptance tests read
 it.  Every group runs for one input through one rule, :func:`run`: a check
 that raises reports one FAIL under the group's name.  Randomized checks are
-seeded and embed the seed in the check name.
+seeded and embed the seed in the check name; such a check passes iff its
+witness, the first failing draw, is still None.
 """
 
 from __future__ import annotations
@@ -126,33 +127,32 @@ def group_law(samples: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     reports = []
     for combo in ("CC", "CD", "DC", "DD"):
-        pi_ok = ff_ok = True
         pi_wit = ff_wit = None
         for _ in range(samples):
             r = random_free_fermionic(combo[0], rng)
             t = random_free_fermionic(combo[1], rng)
             composed = compose(r, t)
-            if pi_ok and pi_map(composed) != pi_map(r) @ pi_map(t):
-                pi_ok, pi_wit = False, {"r": r.to_json(), "t": t.to_json()}
-            if ff_ok and not free_fermion(composed).is_zero():
-                ff_ok, ff_wit = False, {"r": r.to_json(), "t": t.to_json()}
+            if pi_wit is None and pi_map(composed) != pi_map(r) @ pi_map(t):
+                pi_wit = {"r": r.to_json(), "t": t.to_json()}
+            if ff_wit is None and not free_fermion(composed).is_zero():
+                ff_wit = {"r": r.to_json(), "t": t.to_json()}
         suffix = f"{combo} samples={samples} seed={seed}"
-        reports.append(report(f"group-law pi-homomorphism {suffix}", pi_ok, pi_wit))
-        reports.append(report(f"group-law free-fermion {suffix}", ff_ok, ff_wit))
-    assoc_ok, assoc_wit = True, None
+        reports.append(report(f"group-law pi-homomorphism {suffix}", pi_wit is None, pi_wit))
+        reports.append(report(f"group-law free-fermion {suffix}", ff_wit is None, ff_wit))
+    assoc_wit = None
     for _ in range(samples):
         triple = [random_free_fermionic(rng.choice("CD"), rng) for _ in range(3)]
         try:
             left = compose(compose(triple[0], triple[1]), triple[2])
             right = compose(triple[0], compose(triple[1], triple[2]))
         except ValueError as exc:
-            if assoc_ok:
-                assoc_ok, assoc_wit = False, {"error": str(exc)}
+            if assoc_wit is None:
+                assoc_wit = {"error": str(exc)}
             continue
-        if assoc_ok and left != right:
-            assoc_ok, assoc_wit = False, [w.to_json() for w in triple]
+        if assoc_wit is None and left != right:
+            assoc_wit = [w.to_json() for w in triple]
     reports.append(report(f"group-law associativity samples={samples} seed={seed}",
-                          assoc_ok, assoc_wit))
+                          assoc_wit is None, assoc_wit))
     return reports
 
 
@@ -161,22 +161,22 @@ def construction(samples: int, seed: int) -> list[dict]:
     _require_at_least(samples, "samples", "--samples", 1)
     _require_int(seed, "seed")
     rng = random.Random(seed)
-    zero_ok, zero_wit = True, None
+    zero_wit = None
     for _ in range(samples):
         s, t = random_matched_pair(rng)
         r = solve_R_from_ST(s, t)
-        if zero_ok and not yb_commutator(r.end2(), s.end2(), t.end2()).is_zero():
-            zero_ok, zero_wit = False, {"s": s.to_json(), "t": t.to_json()}
+        if zero_wit is None and not yb_commutator(r.end2(), s.end2(), t.end2()).is_zero():
+            zero_wit = {"s": s.to_json(), "t": t.to_json()}
     reports = [report(f"construction zero-commutator samples={samples} seed={seed}",
-                      zero_ok, zero_wit)]
-    need_ok, need_wit = True, None
+                      zero_wit is None, zero_wit)]
+    need_wit = None
     for _ in range(samples):
         s, t = random_mismatched_pair(rng)
         # admissible solutions need c1 and c2 nonzero (slots 4 and 5)
-        if need_ok and any(vec[4] or vec[5] for vec in r_solution_space(s, t)):
-            need_ok, need_wit = False, {"s": s.to_json(), "t": t.to_json()}
+        if need_wit is None and any(vec[4] or vec[5] for vec in r_solution_space(s, t)):
+            need_wit = {"s": s.to_json(), "t": t.to_json()}
     reports.append(report(f"construction necessity samples={samples} seed={seed}",
-                          need_ok, need_wit))
+                          need_wit is None, need_wit))
     return reports
 
 
@@ -191,22 +191,22 @@ def bijection(max_n: int, max_part: int) -> list[dict]:
             b = BoundarySpec(kind, lam)
             enum = list(enumerate_states(b))
             brute = list(brute_force_states(b))
-            ok, witness = True, None
+            witness = None
             if len(enum) != len(brute) or set(enum) != set(brute):
-                ok = False
                 witness = {"enumerated": len(enum), "brute": len(brute)}
             elif any(gt_to_state(state_to_gt(s), b) != s for s in enum):
-                ok, witness = False, {"roundtrip": "failed"}
-            reports.append(report(f"gt-bijection {kind.value} {label}", ok, witness))
+                witness = {"roundtrip": "failed"}
+            reports.append(report(f"gt-bijection {kind.value} {label}",
+                                  witness is None, witness))
     b = BoundarySpec(IceKind.GAMMA, (3, 1, 0))
     pattern = GTPattern(((5, 2, 0), (3, 0), (3,)))
     state = gt_to_state(pattern, b)
     space = VarSpace(3)
     expected = space.z(1, 4) * space.z(3, 3) * space.t(2) * (space.t(1) + space.one())
-    ok = (state_to_gt(state) == pattern
-          and gt_row_sums(pattern) == (4, 0, 3)
-          and state_weight(state) == expected)
-    reports.append(report("gt-bijection example-pattern", ok, state.to_json()))
+    reports.append(report("gt-bijection example-pattern",
+                          state_to_gt(state) == pattern
+                          and gt_row_sums(pattern) == (4, 0, 3)
+                          and state_weight(state) == expected, state.to_json()))
     return reports
 
 

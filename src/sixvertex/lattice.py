@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, Iterator, Sequence
 
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, _require_vertex_matrix
 from .poly import (GuardError, Immutable, Polynomial, VarSpace, _check_space,
                    _disjoint_product, _dot, _require_int, poly_sum, prod)
 from .weights import IceKind, _vertex_entry, ice_weights
@@ -598,8 +598,7 @@ def transfer_matrix(mat: PolyMatrix, n_cols: int) -> PolyMatrix:
     _require_int(n_cols, "n_cols")
     if not 1 <= n_cols <= MAX_TRANSFER_COLS:
         raise ValueError(f"n_cols must be between 1 and {MAX_TRANSFER_COLS}, got {n_cols}")
-    if mat.size != 4:
-        raise ValueError("vertex matrix must be 4x4")
+    _require_vertex_matrix(mat, "vertex matrix must be 4x4")
     space = mat.space
     # the nonzero weights mat[2*right + b, 2*k + a], by the spin k they continue
     weights_by_k: dict[int, list] = {0: [], 1: []}

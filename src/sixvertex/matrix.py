@@ -116,6 +116,17 @@ _set_size = PolyMatrix.size.__set__
 _set_rows = PolyMatrix.rows.__set__
 
 
+def _require_vertex_matrix(mat: object, message: str) -> None:
+    """Refuse what is not a 4x4 ``PolyMatrix``: a TypeError for another type,
+    such as a ``VertexWeights`` passed in place of its ``end2()``, and a
+    ValueError with ``message`` for another size."""
+    if not isinstance(mat, PolyMatrix):
+        raise TypeError(f"expected a 4x4 PolyMatrix, such as a weight system's end2(), "
+                        f"got {type(mat).__name__}")
+    if mat.size != 4:
+        raise ValueError(message)
+
+
 def _matdot(space: VarSpace, size: int,
             chains: Iterable[Sequence[SparseRows]],
             minus: Iterable[Sequence[SparseRows]] = ()) -> PolyMatrix:

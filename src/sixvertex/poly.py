@@ -182,9 +182,7 @@ class GaussianRational(Immutable):
 
     @_scalar_operator
     def __rsub__(self, c: Fraction, d: Fraction) -> "GaussianRational":
-        a, b = self.re, self.im
-        return GaussianRational._raw((c - a if c else -a) if a else c,
-                                     (d - b if d else -b) if b else d)
+        return GaussianRational._raw(c, d) - self
 
     @_scalar_operator
     def __mul__(self, c: Fraction, d: Fraction) -> "GaussianRational":
@@ -507,9 +505,7 @@ class Polynomial(Immutable):
             return self
         if not self._terms:
             return other
-        terms = dict(self._terms)
-        _accumulate(terms, other._terms)
-        return Polynomial._raw(self.space, terms)
+        return Polynomial._raw(self.space, _accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -517,26 +513,16 @@ class Polynomial(Immutable):
         return Polynomial._raw(self.space, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        # negates the other operand's coefficients as it merges them
+        """One ``_accumulate`` of the other operand's terms into a copy of this
+        one's, each negated as it is merged: no negated polynomial is built."""
         other = self._operand(other)
         if not other._terms:
             return self
-        terms = dict(self._terms)
-        get = terms.get
-        for mono, coeff in other._terms.items():
-            acc = get(mono)
-            if acc is None:
-                terms[mono] = -coeff
-            else:
-                acc -= coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return Polynomial._raw(self.space, terms)
+        return Polynomial._raw(self.space, _accumulate(
+            dict(self._terms), ((m, -c) for m, c in other._terms.items())))
 
     def __rsub__(self, other) -> "Polynomial":
-        return -self + other
+        return self._operand(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -650,17 +636,18 @@ class Polynomial(Immutable):
             for i, v in (given or {}).items():
                 values[space._offset(i, block)] = _coeff(v)
         shift = space._shift
-        terms: dict[int, Coefficient] = {}
-        for mono, coeff in self._terms.items():
-            scale = coeff
-            for offset, val in values.items():
-                e = (mono >> offset) & _FIELD_MASK
-                for power in _binary_powers(val, e):
-                    scale = scale * power
-                mono -= (e << offset) + (e << shift)
-            if scale:
-                _accumulate(terms, {mono: scale})
-        return Polynomial._raw(space, terms)
+
+        def scaled() -> Iterator[tuple[int, Coefficient]]:
+            # each term with its substituted fields taken out of the monomial
+            for mono, scale in self._terms.items():
+                for offset, val in values.items():
+                    e = (mono >> offset) & _FIELD_MASK
+                    for power in _binary_powers(val, e):
+                        scale = scale * power
+                    mono -= (e << offset) + (e << shift)
+                if scale:
+                    yield mono, scale
+        return Polynomial._raw(space, _accumulate({}, scaled()))
 
     def evaluate(self, zs: Sequence[object], ts: Sequence[object]) -> GaussianRational:
         """Evaluate at a full assignment; zs and ts give all n values each."""
@@ -881,15 +868,16 @@ def _disjoint_product(space: VarSpace, left: Polynomial, right: Polynomial) -> P
                                    for m2, c2 in right_terms})
 
 
-def _accumulate(terms: dict, addend: Mapping) -> None:
-    """Add `addend` into `terms` in place; drops zeros.
+def _accumulate(terms: dict, items: Iterable[tuple[int, Coefficient]]) -> dict:
+    """Add the (packed monomial, coefficient) ``items`` into ``terms`` in
+    place, drop the sums that cancel, and return ``terms``: the one additive
+    merge of term maps, under ``+``, ``-``, ``poly_sum`` and ``substitute``.
 
-    Neither map holds a zero coefficient.  A monomial new to `terms` takes
-    the addend's coefficient, so only a monomial in both maps costs an
-    addition.
+    Neither holds a zero coefficient.  A monomial new to ``terms`` takes the
+    item's coefficient, so only a monomial seen before costs an addition.
     """
     get = terms.get
-    for mono, coeff in addend.items():
+    for mono, coeff in items:
         acc = get(mono)
         if acc is None:
             terms[mono] = coeff
@@ -899,6 +887,7 @@ def _accumulate(terms: dict, addend: Mapping) -> None:
                 terms[mono] = acc
             else:
                 del terms[mono]
+    return terms
 
 
 def _json_list(exps: tuple[int, ...]) -> str:
@@ -979,7 +968,7 @@ def poly_sum(addends: Iterable[Polynomial], space: VarSpace | None = None) -> Po
     for p in addends:
         found = found or p.space
         _check_space(found, (p,))
-        _accumulate(terms, p._terms)
+        _accumulate(terms, p._terms.items())
     if found is None:
         raise ValueError("empty sum with no variable space")
     return Polynomial._raw(found, terms)

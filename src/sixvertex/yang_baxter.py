@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .matrix import PolyMatrix, SparseRows, _matdot, _sparse_rows
+from .matrix import PolyMatrix, SparseRows, _matdot, _require_vertex_matrix, _sparse_rows
 from .poly import (ONE, ZERO, GaussianRational, Polynomial, VarSpace, _SHOWN_TERMS,
                    _check_space, _head)
 from .weights import (IceKind, VertexWeights, _END2, ice_weights, r_weights,
@@ -31,17 +31,17 @@ _BASIS3 = tuple(itertools.product(range(2), repeat=3))  # (a, b, c) at index 4a 
 
 def lift(phi: PolyMatrix, slot: str) -> PolyMatrix:
     """Extend a 4x4 endomorphism of V (x) V to V^3, identity on the omitted factor."""
+    rows = _lifted_rows(phi, slot)  # first: it checks phi
     zero = phi.space.zero()
     return PolyMatrix([[entries.get(col, zero) for col in range(8)]
-                       for entries in map(dict, _lifted_rows(phi, slot))])
+                       for entries in map(dict, rows)])
 
 
 def _lifted_rows(phi: PolyMatrix, slot: str) -> SparseRows:
     """The rows of ``lift(phi, slot)`` in ``_sparse_rows`` form, built from
     the nonzero entries of phi alone: row x of the lift is row
     2 x_i + x_j of phi, moved to the columns whose omitted spin is x_k."""
-    if phi.size != 4:
-        raise ValueError("lift expects a 4x4 matrix")
+    _require_vertex_matrix(phi, "lift expects a 4x4 matrix")
     if slot not in _SLOT_FACTORS:
         raise ValueError(f"slot must be one of {tuple(_SLOT_FACTORS)}")
     i, j, k = _SLOT_FACTORS[slot]

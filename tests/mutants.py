@@ -204,6 +204,13 @@ CATALOG = (
            "terms[mono] = c1 * c2",
            "_dot: a term product whose monomial is already stored adds to it",
            "tests/test_poly.py::test_ring_axioms_on_random_samples"),
+    Mutant("accumulate-keeps-zero",
+           "src/sixvertex/poly.py",
+           "del terms[mono]",
+           "terms[mono] = acc",
+           "_accumulate, the one merge under +, -, poly_sum and substitute: a "
+           "sum that cancels is dropped, never stored as a zero coefficient",
+           "tests/test_poly.py::test_sums_and_differences_match_a_term_map_oracle"),
     Mutant("poly-sum-addend-dropped",
            "src/sixvertex/poly.py",
            "    for p in addends:",

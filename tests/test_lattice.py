@@ -797,3 +797,13 @@ def test_transfer_matrix_guards():
     for bad in (True, False, 2.0):
         with pytest.raises(TypeError, match="n_cols must be an int"):
             transfer_matrix(gamma(space, 1).end2(), bad)
+
+
+def test_transfer_matrix_refuses_a_weight_system_in_place_of_its_end2():
+    space = VarSpace(1)
+    for bad in (gamma(space, 1), gamma(space, 1).end2().rows, None):
+        with pytest.raises(TypeError, match=r"PolyMatrix, such as a weight system's end2\(\), "
+                                            f"got {type(bad).__name__}$"):
+            transfer_matrix(bad, 2)
+    with pytest.raises(ValueError, match="^vertex matrix must be 4x4$"):
+        transfer_matrix(PolyMatrix.identity(space, 2), 2)

@@ -382,6 +382,10 @@ def test_sums_and_differences_match_a_term_map_oracle():
         assert zero + scalar == scalar + zero == space.const(scalar)
         assert zero - scalar == -space.const(scalar)
         assert scalar - zero == space.const(scalar)
+    # a scalar that cancels the constant term; == compares the stored term
+    # maps, so a zero coefficient left stored would fail it
+    for scalar, p in ((3, 3 + space.z(1)), (IMAG, IMAG + space.t(1))):
+        assert scalar - p == term_map_oracle(space.const(scalar), p, -1) == -(p - scalar)
     # the space check still runs first
     for make in (lambda: zero + VarSpace(1).zero(), lambda: zero - VarSpace(1).z(1),
                  lambda: VarSpace(1).zero() - zero):
@@ -805,6 +809,9 @@ def test_substitute_and_evaluate():
     assert q == space.const(9) * space.t(2) + space.z(2)
     assert p.evaluate([3, 5], [7, 11]) == GaussianRational(9 * 11 + 5)
     assert p.substitute(t={2: Fraction(1, 2)}).evaluate([2, 0], [0, 0]) == 2
+    # terms that merge at one monomial and cancel leave no stored zero
+    z1, z2 = space.z(1), space.z(2)
+    assert (z1 * space.t(1) - z1 + z2).substitute(t={1: 1}) == z2
     with pytest.raises(IndexError):
         p.substitute(z={3: 1})
     with pytest.raises(ValueError):

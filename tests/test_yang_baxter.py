@@ -512,6 +512,26 @@ def test_commutator_refuses_what_the_lifts_refuse():
                 form(*triple)
 
 
+def test_lift_refuses_a_weight_system_in_place_of_its_end2():
+    space = VarSpace(1)
+    for bad in (gamma(space, 1), gamma(space, 1).end2().rows, None):
+        with pytest.raises(TypeError, match=r"PolyMatrix, such as a weight system's end2\(\), "
+                                            f"got {type(bad).__name__}$"):
+            lift(bad, "12")
+    with pytest.raises(ValueError, match="^lift expects a 4x4 matrix$"):
+        lift(PolyMatrix.identity(space, 2), "12")
+
+
+def test_commutator_refuses_a_weight_system_in_place_of_its_end2():
+    space = VarSpace(1)
+    weights = gamma(space, 1)
+    four = weights.end2()
+    for triple in ((weights, four, four), (four, weights, four), (four, four, weights)):
+        with pytest.raises(TypeError, match=r"PolyMatrix, such as a weight system's end2\(\), "
+                                            r"got VertexWeights$"):
+            yb_commutator(*triple)
+
+
 def test_commutator_lifts_multiplies_and_subtracts_nothing(monkeypatch):
     calls = []
 
